@@ -40,6 +40,20 @@ def _comma_ints(raw: str) -> list[int]:
     return [int(piece) for piece in raw.split(",") if piece.strip()]
 
 
+def _positive_int(raw: str) -> int:
+    value = int(raw)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {raw}")
+    return value
+
+
+def _theta(raw: str) -> float:
+    value = float(raw)
+    if not value >= 0:  # NaN fails this too
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {raw}")
+    return value
+
+
 def _write_result(out_dir: str, filename: str, payload) -> Path:
     return store.write_canonical(Path(out_dir) / filename, payload)
 
@@ -209,17 +223,14 @@ def cmd_eval_sweep(args: argparse.Namespace) -> int:
 
 def cmd_eval_timetravel(args: argparse.Namespace) -> int:
     _verify_manifest_arg(args.manifest)
+    cases = evaluation.time_travel_cases(args.repo, args.fixes, args.window)
     retrievers = {
         "grep": evaluation.grep_retriever(),
         "bm25": evaluation.bm25_retriever(),
-        "cd_v1": evaluation.cd_retriever(fallback_enabled=False, theta=args.theta),
-        "cd_v2": evaluation.cd_retriever(fallback_enabled=True, theta=args.theta),
+        **evaluation.cd_retrievers(theta=args.theta),
     }
-    payload = {"n_fixes": args.fixes, "window": args.window, "methods": {}}
-    for name, retriever in retrievers.items():
-        payload["methods"][name] = evaluation.time_travel_eval(
-            args.repo, args.fixes, args.window, retriever
-        )
+    methods = {name: evaluation.score_cases(cases, r) for name, r in retrievers.items()}
+    payload = {"n_fixes": args.fixes, "window": args.window, "methods": methods}
     out = _write_result(args.out, "time_travel_results.json", payload)
     print(f"wrote {out}")
     print("method".rjust(8) + "hit@1".rjust(9) + "hit@3".rjust(9) + "hit@10".rjust(9) + "mrr".rjust(9))
@@ -282,14 +293,14 @@ def build_parser() -> CliParser:
 
     extract = commands.add_parser("extract", help="mine the repository into .knowledge/units.json")
     _add_repo_arg(extract)
-    extract.add_argument("--max-commits", type=int, default=DEFAULT_MAX_COMMITS)
+    extract.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
     _add_fallback_arg(extract)
     extract.set_defaults(func=cmd_extract)
 
     query_cmd = commands.add_parser("query", help="query the knowledge store")
     _add_repo_arg(query_cmd)
-    query_cmd.add_argument("--k", type=int, default=retrieval.DEFAULT_K)
-    query_cmd.add_argument("--theta", type=float, default=retrieval.DEFAULT_THETA)
+    query_cmd.add_argument("--k", type=_positive_int, default=retrieval.DEFAULT_K)
+    query_cmd.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     query_cmd.add_argument("--format", choices=("human", "json"), default="human")
     query_cmd.add_argument("query", help="query text")
     query_cmd.set_defaults(func=cmd_query)
@@ -306,9 +317,9 @@ def build_parser() -> CliParser:
     baseline = experiments.add_parser("baseline", help="three-retriever comparison on a benchmark")
     _add_repo_arg(baseline)
     baseline.add_argument("--benchmark", required=True)
-    baseline.add_argument("--max-commits", type=int, default=DEFAULT_MAX_COMMITS)
-    baseline.add_argument("--k", type=int, default=retrieval.EVAL_K)
-    baseline.add_argument("--theta", type=float, default=retrieval.DEFAULT_THETA)
+    baseline.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
+    baseline.add_argument("--k", type=_positive_int, default=retrieval.EVAL_K)
+    baseline.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     baseline.add_argument("--out", default=DEFAULT_OUT_DIR)
     baseline.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
     _add_fallback_arg(baseline)
@@ -317,9 +328,9 @@ def build_parser() -> CliParser:
     budget = experiments.add_parser("budget", help="budget-constrained hit-rate table")
     _add_repo_arg(budget)
     budget.add_argument("--benchmark", required=True)
-    budget.add_argument("--max-commits", type=int, default=DEFAULT_MAX_COMMITS)
+    budget.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
     budget.add_argument("--budgets", type=_comma_ints, default=list(evaluation.DEFAULT_BUDGETS))
-    budget.add_argument("--theta", type=float, default=retrieval.DEFAULT_THETA)
+    budget.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     budget.add_argument("--out", default=DEFAULT_OUT_DIR)
     budget.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
     _add_fallback_arg(budget)
@@ -328,16 +339,16 @@ def build_parser() -> CliParser:
     sweep = experiments.add_parser("sweep", help="silence-threshold sweep, CD-v1 vs CD-v2")
     _add_repo_arg(sweep)
     sweep.add_argument("--benchmark", required=True)
-    sweep.add_argument("--max-commits", type=int, default=DEFAULT_MAX_COMMITS)
+    sweep.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
     sweep.add_argument("--thetas", type=_comma_floats, default=list(evaluation.DEFAULT_THETA_GRID))
     sweep.add_argument("--out", default=DEFAULT_OUT_DIR)
     sweep.set_defaults(func=cmd_eval_sweep)
 
     timetravel = experiments.add_parser("timetravel", help="time-travel regression finding")
     _add_repo_arg(timetravel)
-    timetravel.add_argument("--fixes", type=int, default=40)
-    timetravel.add_argument("--window", type=int, default=evaluation.DEFAULT_WINDOW)
-    timetravel.add_argument("--theta", type=float, default=retrieval.DEFAULT_THETA)
+    timetravel.add_argument("--fixes", type=_positive_int, default=40)
+    timetravel.add_argument("--window", type=_positive_int, default=evaluation.DEFAULT_WINDOW)
+    timetravel.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     timetravel.add_argument("--out", default=DEFAULT_OUT_DIR)
     timetravel.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
     timetravel.set_defaults(func=cmd_eval_timetravel)
@@ -345,7 +356,7 @@ def build_parser() -> CliParser:
     kappa = experiments.add_parser("kappa", help="inter-annotator agreement statistics")
     kappa.add_argument("--labels", required=True)
     kappa.add_argument("--seed", type=int, default=42)
-    kappa.add_argument("--resamples", type=int, default=10000)
+    kappa.add_argument("--resamples", type=_positive_int, default=10000)
     kappa.add_argument("--out", default=DEFAULT_OUT_DIR)
     kappa.set_defaults(func=cmd_eval_kappa)
 

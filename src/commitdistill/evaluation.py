@@ -14,6 +14,7 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -24,9 +25,20 @@ from .extraction import (
     HeuristicRule,
     KnowledgeUnit,
     extract_commit_units,
+    subject_fallback_unit,
 )
 from .gitio import Commit
-from .retrieval import DEFAULT_BOOSTS, DEFAULT_THETA, EVAL_K, BoostTable, build_index, query
+from .retrieval import (
+    DEFAULT_BOOSTS,
+    DEFAULT_THETA,
+    EVAL_K,
+    BoostTable,
+    IndexedDocument,
+    build_index,
+    index_documents,
+    query,
+    tokenize_unit,
+)
 
 QUERY_CLASSES = ("ANSWERABLE", "NOT_IN_CORPUS", "OOD", "FACT_STYLE")
 LABEL_CLASSES = ("useful", "trivially-true", "fragment", "noise")
@@ -209,24 +221,20 @@ def time_travel_cases(
 ) -> list[TimeTravelCase]:
     """Most recent bug-fix commits with at least one prior co-changing fix.
 
-    For each selected fix the window holds the ``window_size`` commits whose
-    author dates are strictly earlier; ground truth is the window subset that
-    both matches the bug-fix selector and shares a changed file with the fix.
+    For each selected fix the window holds the first ``window_size`` commits,
+    in ``git log`` order, whose author dates are strictly earlier; ground
+    truth is the window subset that both matches the bug-fix selector and
+    shares a changed file with the fix. The history is read in one git call.
     """
-    commits = gitio.list_commits(repo_path, max_count=10**9)
-    files = gitio.changed_files_map(repo_path)
-    for commit in commits:
-        commit.changed_files = files.get(commit.sha, set())
+    commits = gitio.list_commits_with_files(repo_path)
     cases: list[TimeTravelCase] = []
     for fix in commits:
         if len(cases) == n_fixes:
             break
         if not BUG_FIX_RE.search(fix.subject):
             continue
-        cutoff = fix.author_datetime()
-        window = [
-            c for c in commits if c.sha != fix.sha and c.author_datetime() < cutoff
-        ][:window_size]
+        cutoff = fix.author_epoch
+        window = list(islice((c for c in commits if c.author_epoch < cutoff), window_size))
         truth = {
             c.sha
             for c in window
@@ -242,14 +250,8 @@ def time_travel_cases(
     return cases
 
 
-def time_travel_eval(
-    repo_path,
-    n_fixes: int,
-    window_size: int,
-    retriever: CommitRetriever,
-) -> dict[str, float]:
+def score_cases(cases: Sequence[TimeTravelCase], retriever: CommitRetriever) -> dict[str, float]:
     """Run a retriever over every case; all state derives from pre-fix commits."""
-    cases = time_travel_cases(repo_path, n_fixes, window_size)
     rankings = [
         retriever(case.window, gitio.clean_subject(case.fix.subject))[:10] for case in cases
     ]
@@ -258,24 +260,54 @@ def time_travel_eval(
     return metrics
 
 
-def cd_retriever(
-    fallback_enabled: bool = True,
-    theta: float = DEFAULT_THETA,
-    boosts: BoostTable = DEFAULT_BOOSTS,
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-) -> CommitRetriever:
-    """Distilled-store retriever; candidates resolve to their source commits."""
-    unit_cache: dict[str, list[KnowledgeUnit]] = {}
+def time_travel_eval(
+    repo_path,
+    n_fixes: int,
+    window_size: int,
+    retriever: CommitRetriever,
+) -> dict[str, float]:
+    """Build the cases and score one retriever on them (see score_cases)."""
+    return score_cases(time_travel_cases(repo_path, n_fixes, window_size), retriever)
 
+
+class _CommitDocuments:
+    """Each commit's units, extracted and tokenized at most once.
+
+    The rule units are shared by CD-v1 and CD-v2; CD-v2 adds the subject
+    fallback on rule-silent commits, as extract_commit_units does.
+    """
+
+    def __init__(self, rules: tuple[HeuristicRule, ...]):
+        self.rules = rules
+        self._rule_docs: dict[str, list[IndexedDocument]] = {}
+        self._fallback_docs: dict[str, list[IndexedDocument]] = {}
+
+    def of(self, commit: Commit, fallback_enabled: bool) -> list[IndexedDocument]:
+        docs = self._rule_docs.get(commit.sha)
+        if docs is None:
+            units = extract_commit_units(commit, self.rules, fallback_enabled=False)
+            docs = self._rule_docs[commit.sha] = [tokenize_unit(unit) for unit in units]
+        if docs or not fallback_enabled:
+            return docs
+        fallback = self._fallback_docs.get(commit.sha)
+        if fallback is None:
+            unit = subject_fallback_unit(commit)
+            fallback = [] if unit is None else [tokenize_unit(unit)]
+            self._fallback_docs[commit.sha] = fallback
+        return fallback
+
+
+def _cd_run(
+    documents: _CommitDocuments, fallback_enabled: bool, theta: float, boosts: BoostTable
+) -> CommitRetriever:
     def run(window: list[Commit], query_text: str) -> list[str]:
         short_to_full = {commit.short_sha: commit.sha for commit in window}
-        by_id: dict[str, KnowledgeUnit] = {}
+        # A unit id found in several commits belongs to the first in window order.
+        by_id: dict[str, IndexedDocument] = {}
         for commit in window:
-            if commit.sha not in unit_cache:
-                unit_cache[commit.sha] = extract_commit_units(commit, rules, fallback_enabled)
-            for unit in unit_cache[commit.sha]:
-                by_id.setdefault(unit.id, unit)
-        index = build_index([by_id[uid] for uid in sorted(by_id)])
+            for doc in documents.of(commit, fallback_enabled):
+                by_id.setdefault(doc.unit.id, doc)
+        index = index_documents([by_id[uid] for uid in sorted(by_id)])
         hits = query(index, query_text, k=max(50, EVAL_K), theta=theta, boosts=boosts)
         shas: list[str] = []
         for hit in hits:
@@ -287,6 +319,30 @@ def cd_retriever(
         return shas
 
     return run
+
+
+def cd_retriever(
+    fallback_enabled: bool = True,
+    theta: float = DEFAULT_THETA,
+    boosts: BoostTable = DEFAULT_BOOSTS,
+    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
+) -> CommitRetriever:
+    """Distilled-store retriever; candidates resolve to their source commits."""
+    return cd_retrievers(theta, boosts, rules)["cd_v2" if fallback_enabled else "cd_v1"]
+
+
+def cd_retrievers(
+    theta: float = DEFAULT_THETA,
+    boosts: BoostTable = DEFAULT_BOOSTS,
+    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
+) -> dict[str, CommitRetriever]:
+    """CD-v1 (rules only) and CD-v2 (with the subject fallback), extracting
+    and tokenizing each window commit once for both."""
+    documents = _CommitDocuments(rules)
+    return {
+        "cd_v1": _cd_run(documents, False, theta, boosts),
+        "cd_v2": _cd_run(documents, True, theta, boosts),
+    }
 
 
 def bm25_retriever(k1: float = 1.5, b: float = 0.75) -> CommitRetriever:

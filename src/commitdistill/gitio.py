@@ -15,7 +15,10 @@ from pathlib import Path
 
 FIELD_SEP = "\x1f"
 RECORD_SEP = "\x1e"
-_LOG_FORMAT = RECORD_SEP + FIELD_SEP.join(["%H", "%an", "%ad", "%s", "%b"])
+# The trailing separator closes the body, so that the file names which
+# ``--name-only`` prints after the record land in a field of their own.
+_LOG_FORMAT = RECORD_SEP + FIELD_SEP.join(["%H", "%an", "%at", "%ad", "%s", "%b", ""])
+_LOG_FIELDS = 7
 
 _SHA_RE = re.compile(r"[0-9a-f]{40}")
 _ISSUE_REF_RE = re.compile(r"\(?#\d+\)?")
@@ -49,9 +52,10 @@ class Commit:
     sha: str
     author: str
     author_date: str  # ISO-8601 with UTC offset, exactly as git printed it
+    author_epoch: int  # the same instant in seconds since the epoch
     subject: str
     body: str
-    changed_files: set[str] | None = None  # populated lazily via changed_files()
+    changed_files: set[str] | None = None  # set by list_commits_with_files()
 
     @property
     def short_sha(self) -> str:
@@ -62,7 +66,7 @@ class Commit:
         return f"{self.subject}\n{self.body}" if self.body else self.subject
 
     def author_datetime(self) -> datetime:
-        return datetime.fromisoformat(self.author_date)
+        return _as_datetime(self.author_date)
 
 
 def _run_git(args: list[str], repo_path: Path | str) -> str:
@@ -106,36 +110,58 @@ def head_sha(repo_path: Path | str) -> str:
     return _run_git(["rev-parse", "HEAD"], path).strip()
 
 
-def _parse_log(output: str) -> list[Commit]:
+def _parse_log(output: str, with_files: bool) -> list[Commit]:
     commits: list[Commit] = []
     last_sha = "<none>"
     for record in output.split(RECORD_SEP):
         if not record:
             continue
         fields = record.split(FIELD_SEP)
-        if len(fields) != 5 or not _SHA_RE.fullmatch(fields[0]):
+        if len(fields) != _LOG_FIELDS or not _SHA_RE.fullmatch(fields[0]):
             offender = fields[0] if _SHA_RE.fullmatch(fields[0]) else last_sha
             raise CommitParseError(
                 f"commit {offender}: message contains wire-format separator bytes "
                 "(0x1f/0x1e); refusing to parse"
             )
-        sha, author, date, subject, body = fields
+        sha, author, epoch, date, subject, body, names = fields
         last_sha = sha
+        files = {line for line in names.splitlines() if line} if with_files else None
         commits.append(
             Commit(
                 sha=sha,
                 author=author,
                 author_date=date,
+                author_epoch=int(epoch),
                 subject=subject,
                 body=body.rstrip("\n"),
+                changed_files=files,
             )
         )
     return commits
 
 
+def _read_log(path: Path, max_count: int | None, with_files: bool) -> list[Commit]:
+    """One ``git log`` over an already checked repository, newest first.
+
+    With ``with_files`` each commit carries its name-only diff against the
+    first parent (root commits against the empty tree).
+    """
+    if not _has_commits(path):
+        return []
+    args = ["log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}"]
+    if with_files:
+        args += ["--diff-merges=first-parent", "--name-only"]
+    if max_count is not None:
+        args += ["-n", str(max_count)]
+    return _parse_log(_run_git(args, path), with_files)
+
+
 def _as_datetime(value: datetime | str) -> datetime:
     if isinstance(value, datetime):
         return value
+    # git 2.45+ prints UTC as "Z", which fromisoformat accepts only from 3.11
+    if value.endswith("Z"):
+        value = value[:-1] + "+00:00"
     return datetime.fromisoformat(value)
 
 
@@ -153,13 +179,7 @@ def list_commits(
     if max_count < 1:
         raise ValueError("max_count must be >= 1")
     path = _ensure_repo(repo_path)
-    if not _has_commits(path):
-        return []
-    args = ["log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}"]
-    if before is None:
-        args += ["-n", str(max_count)]
-    output = _run_git(args, path)
-    commits = _parse_log(output)
+    commits = _read_log(path, max_count if before is None else None, with_files=False)
     if before is not None:
         cutoff = _as_datetime(before)
         commits = [c for c in commits if c.author_datetime() < cutoff]
@@ -188,30 +208,22 @@ def changed_files(repo_path: Path | str, sha: str) -> set[str]:
     return {line for line in output.splitlines() if line}
 
 
+def list_commits_with_files(
+    repo_path: Path | str, max_count: int | None = None
+) -> list[Commit]:
+    """Newest-first commits with ``changed_files`` set, from one git call.
+
+    The file sets are first-parent name-only diffs, as ``changed_files``
+    computes them one commit at a time.
+    """
+    return _read_log(_ensure_repo(repo_path), max_count, with_files=True)
+
+
 def changed_files_map(
     repo_path: Path | str, max_count: int | None = None
 ) -> dict[str, set[str]]:
     """First-parent changed-file sets for many commits in one git call."""
-    path = _ensure_repo(repo_path)
-    if not _has_commits(path):
-        return {}
-    args = [
-        "log",
-        "--diff-merges=first-parent",
-        "--name-only",
-        f"--pretty=format:{RECORD_SEP}%H",
-    ]
-    if max_count is not None:
-        args += ["-n", str(max_count)]
-    output = _run_git(args, path)
-    result: dict[str, set[str]] = {}
-    for record in output.split(RECORD_SEP):
-        if not record:
-            continue
-        lines = record.splitlines()
-        sha = lines[0].strip()
-        result[sha] = {line for line in lines[1:] if line}
-    return result
+    return {c.sha: c.changed_files for c in list_commits_with_files(repo_path, max_count)}
 
 
 def clean_subject(subject: str) -> str:

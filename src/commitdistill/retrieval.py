@@ -98,16 +98,18 @@ def tokenize(text: str) -> Counter:
     return counts
 
 
-def build_index(units) -> RetrievalIndex:
-    """TF, IDF, and doc lengths over unit contents; idf = log(N / df).
+def tokenize_unit(unit: KnowledgeUnit) -> IndexedDocument:
+    """The per-unit half of an index build: term counts and length."""
+    tf = tokenize(unit.content)
+    return IndexedDocument(unit, tf, sum(tf.values()))
+
+
+def index_documents(documents: list[IndexedDocument]) -> RetrievalIndex:
+    """The corpus half of an index build: df, postings and idf = log(N / df).
 
     A single-document corpus gets add-one smoothing (log((N+1)/df)) so the
     degenerate corpus stays retrievable.
     """
-    documents: list[IndexedDocument] = []
-    for unit in units:
-        tf = tokenize(unit.content)
-        documents.append(IndexedDocument(unit, tf, sum(tf.values())))
     n = len(documents)
     df: Counter = Counter()
     postings: dict[str, list[int]] = defaultdict(list)
@@ -118,6 +120,11 @@ def build_index(units) -> RetrievalIndex:
     numerator = n + 1 if n == 1 else n
     idf = {term: math.log(numerator / count) for term, count in df.items()}
     return RetrievalIndex(documents, idf, dict(postings))
+
+
+def build_index(units) -> RetrievalIndex:
+    """TF, IDF, and doc lengths over unit contents (see index_documents)."""
+    return index_documents([tokenize_unit(unit) for unit in units])
 
 
 def query(

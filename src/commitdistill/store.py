@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,6 +18,7 @@ from .extraction import KnowledgeUnit
 SCHEMA_VERSION = 1
 STORE_DIR = ".knowledge"
 STORE_FILENAME = "units.json"
+UNIT_FIELDS = frozenset({"id", "type", "title", "content", "weight", "context", "meta"})
 
 
 @dataclass
@@ -49,14 +51,30 @@ def canonical_json(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
 
 
+def _file_mode(path: Path) -> int:
+    """The mode of the file at ``path``, or 0o666 less the umask for a new one."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def write_canonical(path: Path, payload) -> Path:
-    """Atomic canonical-JSON write (temp file in place, then rename)."""
+    """Atomic canonical-JSON write (temp file in place, then rename).
+
+    The file keeps its mode across rewrites; a new one gets the mode that
+    ``open`` would give it, not the owner-only mode of a temporary file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    mode = _file_mode(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(canonical_json(payload))
+        os.chmod(tmp_name, mode)
         os.replace(tmp_name, path)
     except OSError:
         if os.path.exists(tmp_name):
@@ -81,8 +99,26 @@ def load(root: Path | str) -> KnowledgeStore:
         raise FileNotFoundError(
             f"no knowledge store at {path}; run the extract command first"
         ) from None
-    store = KnowledgeStore(schema_version=payload["schema_version"])
-    for entry in payload["units"]:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"knowledge store {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"knowledge store {path} must hold a JSON object")
+    version = payload.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(
+            f"knowledge store {path} has schema_version {version!r}; "
+            f"this version reads {SCHEMA_VERSION}"
+        )
+    entries = payload.get("units")
+    if not isinstance(entries, list):
+        raise ValueError(f"knowledge store {path} has no units list")
+    store = KnowledgeStore(schema_version=version)
+    for position, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ValueError(f"knowledge store {path}: unit {position} is not a JSON object")
+        if not UNIT_FIELDS <= entry.keys():
+            missing = ", ".join(sorted(UNIT_FIELDS - entry.keys()))
+            raise ValueError(f"knowledge store {path}: unit {position} lacks {missing}")
         unit = KnowledgeUnit.from_dict(entry)
         store.units[unit.id] = unit
     return store

@@ -203,6 +203,58 @@ def build_timetravel_repo(path: Path) -> tuple[Path, dict[str, str]]:
     return builder.path, shas
 
 
+# Author dates that run against ``git log`` order, in mixed UTC offsets:
+# "backport" was authored long before it landed, "late_fix" is newer in the
+# log than several commits it predates, and "core_fix"/"cache_fix_3" (and
+# "late_fix"/"cache_fix_2") share one instant written in different offsets.
+SKEWED_DATES_PLAN: list[tuple[str, str, str, tuple[str, ...], str]] = [
+    # (label, subject, body, files, author date)
+    ("scaffold", "Initial cache layout", "", ("cache.py", "core.py"), "2023-03-01T08:00:00+00:00"),
+    ("cache_fix_1", "Fix cache eviction race", "Eviction must hold the shard lock.",
+     ("cache.py",), "2023-03-01T18:00:00+09:00"),
+    ("docs", "Describe cache tuning", "Note: the cache size should track the shard count.",
+     ("docs.md",), "2023-03-01T05:00:00-08:00"),
+    ("cache_fix_2", "fix cache stampede on cold start", "", ("cache.py",), "2023-03-01T12:00:00+00:00"),
+    ("backport", "Fix cache warmup crash", "KeyError occurs when the warmup races the loader.",
+     ("cache.py",), "2023-02-20T10:00:00+00:00"),
+    ("core_fix", "Bug: core config reload", "", ("core.py",), "2023-03-01T20:00:00+05:30"),
+    ("cache_fix_3", "Fix cache key collision", "", ("cache.py", "core.py"), "2023-03-01T23:30:00+09:00"),
+    ("late_fix", "fix core shutdown hang", "To avoid the hang, close the cache before the core.",
+     ("core.py",), "2023-03-01T10:00:00-02:00"),
+    ("tidy", "Tidy imports", "", ("core.py",), "2023-03-02T00:00:00+00:00"),
+]
+
+# "pool_fix_1" and "docs" yield one unit id from contents that differ only in
+# case, so they tokenize differently; windows that hold both must index the
+# newer one, and windows that hold only the older one must index that.
+SHARED_UNIT_PLAN: list[tuple[str, str, str]] = [
+    ("scaffold", "Initial pool scaffolding", ""),
+    ("pool_fix_1", "Bug: pool drain on exit", "Note: the connectionpool must be drained before shutdown."),
+    ("pool_fix_2", "Fix connectionpool shutdown leak", ""),
+    ("docs", "Document pool tuning", "Note: the connectionPool must be drained before shutdown."),
+    ("pool_fix_3", "Fix pool shutdown ordering", ""),
+    ("pool_fix_4", "Fix connection pool drain crash", ""),
+]
+
+
+def build_skewed_dates_repo(path: Path) -> tuple[Path, dict[str, str]]:
+    builder = RepoBuilder(path)
+    shas: dict[str, str] = {}
+    for index, (label, subject, body, touched, date) in enumerate(SKEWED_DATES_PLAN):
+        files = {name: f"{label} revision {index}\n" for name in touched}
+        shas[label] = builder.commit(subject, body, files=files, date=date)
+    return builder.path, shas
+
+
+def build_shared_unit_repo(path: Path) -> tuple[Path, dict[str, str]]:
+    builder = RepoBuilder(path)
+    shas: dict[str, str] = {}
+    for index, (label, subject, body) in enumerate(SHARED_UNIT_PLAN):
+        name = "docs.md" if label == "docs" else "pool.py"
+        shas[label] = builder.commit(subject, body, files={name: f"{label} revision {index}\n"})
+    return builder.path, shas
+
+
 @pytest.fixture()
 def repo_builder(tmp_path: Path) -> RepoBuilder:
     return RepoBuilder(tmp_path / "repo")
@@ -221,3 +273,13 @@ def calibration_repo(tmp_path_factory: pytest.TempPathFactory) -> tuple[Path, di
 @pytest.fixture(scope="session")
 def timetravel_repo(tmp_path_factory: pytest.TempPathFactory) -> tuple[Path, dict[str, str]]:
     return build_timetravel_repo(tmp_path_factory.mktemp("timetravel") / "repo")
+
+
+@pytest.fixture(scope="session")
+def skewed_dates_repo(tmp_path_factory: pytest.TempPathFactory) -> tuple[Path, dict[str, str]]:
+    return build_skewed_dates_repo(tmp_path_factory.mktemp("skewed") / "repo")
+
+
+@pytest.fixture(scope="session")
+def shared_unit_repo(tmp_path_factory: pytest.TempPathFactory) -> tuple[Path, dict[str, str]]:
+    return build_shared_unit_repo(tmp_path_factory.mktemp("shared") / "repo")

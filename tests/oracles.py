@@ -2,12 +2,26 @@
 
 These deliberately re-derive every quantity from scratch (document stats,
 idf, normalization) instead of touching the production index structures.
+The time-travel oracles are the straightforward versions of the case
+builder and the distilled-store retriever that the shared, cached ones in
+``commitdistill.evaluation`` must reproduce exactly.
 """
 from __future__ import annotations
 
 import math
 
-from commitdistill.retrieval import BoostTable, tokenize
+from commitdistill import evaluation as ev
+from commitdistill import gitio
+from commitdistill.extraction import DEFAULT_RULES, extract_commit_units
+from commitdistill.retrieval import (
+    DEFAULT_BOOSTS,
+    DEFAULT_THETA,
+    EVAL_K,
+    BoostTable,
+    build_index,
+    query,
+    tokenize,
+)
 
 
 def tfidf_oracle(units, query_text: str, k: int, theta: float, boosts: BoostTable):
@@ -99,3 +113,81 @@ def metrics_oracle(rankings, truths):
         "hit_at_10": hit10 / n,
         "mrr": total_rr / n,
     }
+
+
+def time_travel_cases_oracle(repo_path, n_fixes: int, window_size: int):
+    """Cases rebuilt per call: author dates parsed with ``datetime`` for every
+    commit in every fix's scan, file sets from one ``git diff`` per commit."""
+    commits = gitio.list_commits(repo_path, max_count=10**9)
+    for commit in commits:
+        commit.changed_files = gitio.changed_files(repo_path, commit.sha)
+    cases = []
+    for fix in commits:
+        if len(cases) == n_fixes:
+            break
+        if not ev.BUG_FIX_RE.search(fix.subject):
+            continue
+        cutoff = fix.author_datetime()
+        window = [
+            c for c in commits if c.sha != fix.sha and c.author_datetime() < cutoff
+        ][:window_size]
+        truth = {
+            c.sha
+            for c in window
+            if ev.BUG_FIX_RE.search(c.subject) and c.changed_files & fix.changed_files
+        }
+        if truth:
+            cases.append(ev.TimeTravelCase(fix, window, truth))
+    if len(cases) < n_fixes:
+        raise ev.InsufficientFixes(
+            f"found {len(cases)} qualifying bug-fix commits, needed {n_fixes}"
+        )
+    return cases
+
+
+def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_THETA):
+    """Distilled-store retriever that re-indexes every window from its units."""
+    unit_cache = {}
+
+    def run(window, query_text: str) -> list[str]:
+        short_to_full = {commit.short_sha: commit.sha for commit in window}
+        by_id = {}
+        for commit in window:
+            if commit.sha not in unit_cache:
+                unit_cache[commit.sha] = extract_commit_units(commit, DEFAULT_RULES, fallback_enabled)
+            for unit in unit_cache[commit.sha]:
+                by_id.setdefault(unit.id, unit)
+        index = build_index([by_id[uid] for uid in sorted(by_id)])
+        hits = query(index, query_text, k=max(50, EVAL_K), theta=theta, boosts=DEFAULT_BOOSTS)
+        shas: list[str] = []
+        for hit in hits:
+            full = short_to_full.get(hit.unit.meta.get("commit", ""))
+            if full and full not in shas:
+                shas.append(full)
+            if len(shas) == EVAL_K:
+                break
+        return shas
+
+    return run
+
+
+def time_travel_payload_oracle(
+    repo_path, n_fixes: int, window_size: int, theta: float = DEFAULT_THETA
+):
+    """The ``eval timetravel`` result payload, with the cases rebuilt for
+    every retriever and the metrics recomputed with plain loops."""
+    retrievers = {
+        "grep": ev.grep_retriever(),
+        "bm25": ev.bm25_retriever(),
+        "cd_v1": cd_retriever_oracle(fallback_enabled=False, theta=theta),
+        "cd_v2": cd_retriever_oracle(fallback_enabled=True, theta=theta),
+    }
+    methods = {}
+    for name, retriever in retrievers.items():
+        cases = time_travel_cases_oracle(repo_path, n_fixes, window_size)
+        rankings = [
+            retriever(case.window, gitio.clean_subject(case.fix.subject))[:10] for case in cases
+        ]
+        methods[name] = metrics_oracle(rankings, [case.ground_truth for case in cases])
+        methods[name]["n_fixes"] = float(len(cases))
+    return {"n_fixes": n_fixes, "window": window_size, "methods": methods}

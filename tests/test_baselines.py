@@ -14,6 +14,7 @@ def make_commit(index: int, subject: str, body: str = "") -> Commit:
         sha=f"{index:040x}",
         author="Dev One",
         author_date=f"2023-01-{index + 1:02d}T00:00:00+00:00",
+        author_epoch=1672531200 + index * 86400,
         subject=subject,
         body=body,
     )

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from commitdistill import cli, store
 
+from oracles import time_travel_payload_oracle
+from test_evaluation import DIFFERENTIAL_REPOS
+
 DATA = Path(__file__).parent / "data"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args: str) -> int:
@@ -67,6 +75,48 @@ class TestExtract:
     def test_bad_repo_exits_2(self, tmp_path, capsys):
         assert run_cli("extract", "--repo", str(tmp_path / "missing")) == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestStoreFile:
+    def test_new_store_gets_umask_mode_and_rewrites_keep_mode(self, calibration_repo, monkeypatch):
+        repo, _ = calibration_repo
+        monkeypatch.delenv("COMMITDISTILL_SUBJECT_FALLBACK", raising=False)
+        store_file = store.store_path(repo)
+        if store_file.exists():
+            store_file.unlink()
+        previous = os.umask(0o027)
+        try:
+            assert run_cli("extract", "--repo", str(repo)) == 0
+        finally:
+            os.umask(previous)
+        assert stat.S_IMODE(os.stat(store_file).st_mode) == 0o640
+        os.chmod(store_file, 0o664)
+        assert run_cli("store", "strip-attribution", "--repo", str(repo)) == 0
+        assert stat.S_IMODE(os.stat(store_file).st_mode) == 0o664
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ("[]", "must hold a JSON object"),
+            ('{"units": []}', "schema_version None"),
+            ('{"schema_version": 99, "units": []}', "schema_version 99"),
+            ('{"schema_version": 1}', "no units list"),
+            ('{"schema_version": 1, "units": {}}', "no units list"),
+            ('{"schema_version": 1, "units": [{"id": "abc", "type": "fact"}]}',
+             "unit 0 lacks content, context, meta, title, weight"),
+            ('{"schema_version": 1, "units": ["abc"]}', "unit 0 is not a JSON object"),
+            ("{not json", "is not valid JSON"),
+        ],
+    )
+    def test_malformed_store_is_a_one_line_error(self, tmp_path, capsys, text, problem):
+        store_file = store.store_path(tmp_path)
+        store_file.parent.mkdir(parents=True)
+        store_file.write_text(text, encoding="utf-8")
+        assert run_cli("query", "--repo", str(tmp_path), "anything") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(store_file) in err
+        assert problem in err
 
 
 class TestQuery:
@@ -178,6 +228,17 @@ class TestEvalCommands:
         for metrics in payload["methods"].values():
             assert metrics["hit_at_1"] <= metrics["hit_at_3"] <= metrics["hit_at_10"]
 
+    @pytest.mark.parametrize("fixture, n_fixes, window", DIFFERENTIAL_REPOS)
+    def test_timetravel_results_match_oracle_bytes(self, request, tmp_path, fixture, n_fixes, window):
+        repo, _ = request.getfixturevalue(fixture)
+        out_dir = tmp_path / "evalout"
+        assert run_cli(
+            "eval", "timetravel", "--repo", str(repo), "--fixes", str(n_fixes),
+            "--window", str(window), "--out", str(out_dir),
+        ) == 0
+        want = store.canonical_json(time_travel_payload_oracle(repo, n_fixes, window))
+        assert (out_dir / "time_travel_results.json").read_bytes() == want.encode("utf-8")
+
     def test_timetravel_insufficient_fixes_exits_2(self, timetravel_repo, capsys, tmp_path):
         repo, _ = timetravel_repo
         assert run_cli(
@@ -245,3 +306,38 @@ class TestExitCodes:
 
     def test_missing_required_argument_is_1(self, capsys):
         assert run_cli("extract") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "--repo", "r", "--k", "0", "text"],
+            ["query", "--repo", "r", "--theta", "-0.5", "text"],
+            ["query", "--repo", "r", "--theta", "nan", "text"],
+            ["eval", "baseline", "--repo", "r", "--benchmark", "b", "--theta", "-1"],
+            ["eval", "baseline", "--repo", "r", "--benchmark", "b", "--k", "0"],
+            ["eval", "budget", "--repo", "r", "--benchmark", "b", "--theta", "-1"],
+            ["eval", "timetravel", "--repo", "r", "--theta", "-1"],
+            ["eval", "timetravel", "--repo", "r", "--fixes", "0"],
+            ["eval", "timetravel", "--repo", "r", "--window", "0"],
+            ["extract", "--repo", "r", "--max-commits", "0"],
+            ["eval", "kappa", "--labels", "l", "--resamples", "0"],
+        ],
+    )
+    def test_out_of_range_values_are_usage_errors(self, argv, capsys):
+        assert run_cli(*argv) == 1
+        assert "error: argument" in capsys.readouterr().err
+
+
+def test_python_m_runs_the_cli():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    completed = subprocess.run(
+        [sys.executable, "-m", "commitdistill", "--help"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        encoding="utf-8",
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "usage: commitdistill" in completed.stdout

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
+from commitdistill import gitio
 
-from oracles import metrics_oracle
+from oracles import cd_retriever_oracle, metrics_oracle, time_travel_cases_oracle
 from test_baselines import make_commit
 from test_store import make_unit
 
@@ -198,6 +199,64 @@ class TestTimeTravel:
             for key in ("hit_at_1", "hit_at_3", "hit_at_10", "mrr"):
                 assert 0.0 <= metrics[key] <= 1.0
             assert metrics["hit_at_1"] <= metrics["hit_at_3"] <= metrics["hit_at_10"]
+
+
+# (fixture, n_fixes, window): the window cut is exercised on the skewed repo.
+DIFFERENTIAL_REPOS = [
+    ("timetravel_repo", 3, 100),
+    ("skewed_dates_repo", 3, 4),
+    ("shared_unit_repo", 3, 100),
+]
+
+
+def _rankings(cases, retriever):
+    return [retriever(case.window, gitio.clean_subject(case.fix.subject)) for case in cases]
+
+
+@pytest.mark.parametrize("fixture, n_fixes, window", DIFFERENTIAL_REPOS)
+class TestTimeTravelAgainstOracle:
+    def test_cases_match_datetime_scan(self, request, fixture, n_fixes, window):
+        repo, _ = request.getfixturevalue(fixture)
+        got = ev.time_travel_cases(repo, n_fixes, window)
+        want = time_travel_cases_oracle(repo, n_fixes, window)
+        assert [case.fix.sha for case in got] == [case.fix.sha for case in want]
+        assert [[c.sha for c in case.window] for case in got] == [
+            [c.sha for c in case.window] for case in want
+        ]
+        assert [case.ground_truth for case in got] == [case.ground_truth for case in want]
+        for case in got:
+            assert all(c.author_epoch < case.fix.author_epoch for c in case.window)
+
+    @pytest.mark.parametrize("theta", [0.0, 2.5])
+    def test_rankings_match_per_window_rebuild(self, request, fixture, n_fixes, window, theta):
+        repo, _ = request.getfixturevalue(fixture)
+        cases = ev.time_travel_cases(repo, n_fixes, window)
+        oracle_cases = time_travel_cases_oracle(repo, n_fixes, window)
+        want = {
+            "grep": _rankings(oracle_cases, ev.grep_retriever()),
+            "bm25": _rankings(oracle_cases, ev.bm25_retriever()),
+            "cd_v1": _rankings(oracle_cases, cd_retriever_oracle(False, theta=theta)),
+            "cd_v2": _rankings(oracle_cases, cd_retriever_oracle(True, theta=theta)),
+        }
+        assert _rankings(cases, ev.grep_retriever()) == want["grep"]
+        assert _rankings(cases, ev.bm25_retriever()) == want["bm25"]
+        for fallback, name in ((False, "cd_v1"), (True, "cd_v2")):
+            assert _rankings(cases, ev.cd_retriever(fallback, theta=theta)) == want[name]
+        # the shared pair, run in both orders, reuses one extraction
+        for order in (("cd_v1", "cd_v2"), ("cd_v2", "cd_v1")):
+            pair = ev.cd_retrievers(theta=theta)
+            for name in order:
+                assert _rankings(cases, pair[name]) == want[name], name
+
+
+def test_shared_unit_belongs_to_first_commit_in_window(shared_unit_repo):
+    repo, shas = shared_unit_repo
+    cases = {case.fix.sha: case for case in ev.time_travel_cases(repo, 3, 100)}
+    newest, oldest = cases[shas["pool_fix_4"]], cases[shas["pool_fix_2"]]
+    retriever = ev.cd_retrievers(theta=0.0)["cd_v1"]
+    # camelCase pieces only in the newer copy; the older copy alone in the older window
+    assert shas["docs"] in retriever(newest.window, gitio.clean_subject(newest.fix.subject))
+    assert shas["pool_fix_1"] in retriever(oldest.window, gitio.clean_subject(oldest.fix.subject))
 
 
 class TestCohenKappa:

@@ -20,6 +20,7 @@ def _commit(subject: str, body: str = "") -> Commit:
         sha="a" * 40,
         author="Dev One",
         author_date="2023-01-01T00:00:00+00:00",
+        author_epoch=1672531200,
         subject=subject,
         body=body,
     )

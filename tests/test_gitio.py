@@ -144,6 +144,33 @@ def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilde
         assert bulk[sha] == gitio.changed_files(repo_builder.path, sha)
 
 
+def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBuilder):
+    repo_builder.commit("root", files={"a.py": "1\n"}, date="2023-01-01T10:00:00+05:00")
+    repo_builder.commit("two", body="line one.\n\nline three", files={"a.py": "2\n", "b.py": "1\n"},
+                        date="2023-01-01T01:00:00-08:00")
+    run_git(repo_builder.path, "checkout", "-q", "-b", "side")
+    repo_builder.commit("side work", files={"side.txt": "side\n"})
+    run_git(repo_builder.path, "checkout", "-q", "main")
+    repo_builder.commit("empty", files={})
+    run_git(repo_builder.path, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    plain = gitio.list_commits(repo_builder.path)
+    with_files = gitio.list_commits_with_files(repo_builder.path)
+    assert [c.sha for c in with_files] == [c.sha for c in plain]
+    for listed, read in zip(plain, with_files):
+        assert listed.changed_files is None
+        assert read.changed_files == gitio.changed_files(repo_builder.path, read.sha)
+        read.changed_files = None
+        assert read == listed
+        assert read.author_epoch == int(read.author_datetime().timestamp())
+    assert [c.changed_files for c in gitio.list_commits_with_files(repo_builder.path, 2)] == [
+        {"side.txt"}, set()
+    ]
+
+
+def test_utc_z_suffix_reads_as_utc():
+    assert gitio._as_datetime("2023-01-02T10:00:00Z") == gitio._as_datetime("2023-01-02T10:00:00+00:00")
+
+
 def test_head_sha(repo_builder: RepoBuilder):
     sha = repo_builder.commit("tip")
     assert gitio.head_sha(repo_builder.path) == sha
