@@ -13,14 +13,13 @@ from .extraction import (
     subject_fallback_unit,
     unit_id,
 )
-from .gitio import Commit, GitError, changed_files, clean_subject, list_commits
+from .gitio import Commit, GitError, clean_subject, list_commits
 from .retrieval import (
     BoostTable,
     RankedHit,
     RetrievalIndex,
     build_index,
     query,
-    render_hybrid,
     tokenize,
 )
 from .store import KnowledgeStore, load, merge, save, strip_attribution
@@ -38,7 +37,6 @@ __all__ = [
     "RankedHit",
     "RetrievalIndex",
     "build_index",
-    "changed_files",
     "clean_subject",
     "extract_commits",
     "extract_repository",
@@ -48,7 +46,6 @@ __all__ = [
     "merge",
     "normalize",
     "query",
-    "render_hybrid",
     "save",
     "strip_attribution",
     "subject_fallback_unit",

@@ -48,26 +48,20 @@ class Bm25Index:
     b: float
 
 
-def build_bm25_index(
-    commits,
-    k1: float = BM25_K1,
-    b: float = BM25_B,
-    tf_cache: dict[str, Counter] | None = None,
+def tokenize_commit(commit: Commit) -> Bm25Document:
+    """The per-commit half of a BM25 build: subject+body term counts and length."""
+    tf = tokenize(commit.message)
+    return Bm25Document(commit, tf, sum(tf.values()))
+
+
+def index_bm25_documents(
+    documents: list[Bm25Document], k1: float = BM25_K1, b: float = BM25_B
 ) -> Bm25Index:
-    """Index raw subjects+bodies with the identifier-aware tokenizer."""
+    """The corpus half of a BM25 build: idf with the +0.5 smoothing and avgdl."""
     if k1 <= 0:
         raise ValueError("k1 must be positive")
     if not 0.0 <= b <= 1.0:
         raise ValueError("b must lie in [0, 1]")
-    documents: list[Bm25Document] = []
-    for commit in commits:
-        if tf_cache is not None and commit.sha in tf_cache:
-            tf = tf_cache[commit.sha]
-        else:
-            tf = tokenize(commit.message)
-            if tf_cache is not None:
-                tf_cache[commit.sha] = tf
-        documents.append(Bm25Document(commit, tf, sum(tf.values())))
     n = len(documents)
     df: Counter = Counter()
     for doc in documents:
@@ -76,6 +70,11 @@ def build_bm25_index(
     idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
     avgdl = (sum(doc.length for doc in documents) / n) if n else 0.0
     return Bm25Index(documents, idf, avgdl, k1, b)
+
+
+def build_bm25_index(commits, k1: float = BM25_K1, b: float = BM25_B) -> Bm25Index:
+    """Index raw subjects+bodies with the identifier-aware tokenizer."""
+    return index_bm25_documents([tokenize_commit(commit) for commit in commits], k1, b)
 
 
 def bm25_query(index: Bm25Index, query: str, k: int = 10) -> list[tuple[Commit, float]]:

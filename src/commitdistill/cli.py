@@ -73,11 +73,13 @@ def cmd_extract(args: argparse.Namespace) -> int:
     units = extraction.extract_commits(commits, fallback_enabled=fallback)
     try:
         existing = store.load(args.repo)
+        stored = True
     except FileNotFoundError:
-        existing = store.KnowledgeStore()
+        existing, stored = store.KnowledgeStore(), False
     before = len(existing.units)
     merged = store.merge(existing, units)
-    store.save(merged, args.repo)
+    if not stored or len(merged.units) > before:  # an unchanged store is not rewritten
+        store.save(merged, args.repo)
     counts = merged.counts_by_type()
     total = len(merged.units)
     per_kc = (total / len(commits) * 1000.0) if commits else 0.0
@@ -111,35 +113,19 @@ def cmd_strip_attribution(args: argparse.Namespace) -> int:
     return 0
 
 
-def _window_and_units(args: argparse.Namespace, fallback: bool):
+def _commits_and_indexes(args: argparse.Namespace):
+    """The commits, distilled-store index and BM25 index that ``eval baseline``
+    and ``eval budget`` search, built once from ``--repo``, ``--max-commits``
+    and ``--fallback``."""
     commits = gitio.list_commits(args.repo, args.max_commits)
-    units = extraction.extract_commits(commits, fallback_enabled=fallback)
-    return commits, units
-
-
-def _text_retrievers(commits, units, k: int, theta: float) -> dict:
-    index = retrieval.build_index(units)
-    bm25_index = baselines.build_bm25_index(commits)
-
-    def cd(query_text: str) -> list[str]:
-        return [hit.unit.content for hit in retrieval.query(index, query_text, k=k, theta=theta)]
-
-    def grep(query_text: str) -> list[str]:
-        return [commit.message for commit, _ in baselines.grep_search(commits, query_text, k=k)]
-
-    def bm25(query_text: str) -> list[str]:
-        return [commit.message for commit, _ in baselines.bm25_query(bm25_index, query_text, k=k)]
-
-    return {"commitdistill": cd, "grep": grep, "bm25": bm25}
+    units = extraction.extract_commits(commits, fallback_enabled=_fallback_mode(args.fallback))
+    return commits, retrieval.build_index(units), baselines.build_bm25_index(commits)
 
 
 def cmd_eval_baseline(args: argparse.Namespace) -> int:
     _verify_manifest_arg(args.manifest)
     queries = evaluation.load_benchmark(args.benchmark)
-    fallback = _fallback_mode(args.fallback)
-    commits, units = _window_and_units(args, fallback)
-    index = retrieval.build_index(units)
-    bm25_index = baselines.build_bm25_index(commits)
+    commits, index, bm25_index = _commits_and_indexes(args)
     rows = []
     answered = {"commitdistill": 0, "grep": 0, "bm25": 0}
     for bench in queries:
@@ -174,9 +160,15 @@ def cmd_eval_budget(args: argparse.Namespace) -> int:
     queries = [q for q in evaluation.load_benchmark(args.benchmark) if q.answer_span]
     if not queries:
         raise ValueError(f"benchmark {args.benchmark} has no queries with answer spans")
-    fallback = _fallback_mode(args.fallback)
-    commits, units = _window_and_units(args, fallback)
-    retrievers = _text_retrievers(commits, units, k=retrieval.EVAL_K, theta=args.theta)
+    commits, index, bm25_index = _commits_and_indexes(args)
+    k = retrieval.EVAL_K
+    retrievers = {
+        "commitdistill": lambda text: [
+            hit.unit.content for hit in retrieval.query(index, text, k=k, theta=args.theta)
+        ],
+        "grep": lambda text: [c.message for c, _ in baselines.grep_search(commits, text, k=k)],
+        "bm25": lambda text: [c.message for c, _ in baselines.bm25_query(bm25_index, text, k=k)],
+    }
     results = evaluation.budget_sweep(queries, retrievers, args.budgets)
     payload: dict = {"n_queries": len(queries), "budgets": list(args.budgets), "retrievers": {}}
     for name, result in results.items():

@@ -19,20 +19,18 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import gitio
-from .baselines import bm25_query, build_bm25_index, grep_search
-from .extraction import (
-    DEFAULT_RULES,
-    HeuristicRule,
-    KnowledgeUnit,
-    extract_commit_units,
-    subject_fallback_unit,
+from .baselines import (
+    Bm25Document,
+    bm25_query,
+    grep_search,
+    index_bm25_documents,
+    tokenize_commit,
 )
+from .extraction import KnowledgeUnit, extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
-    DEFAULT_BOOSTS,
     DEFAULT_THETA,
     EVAL_K,
-    BoostTable,
     IndexedDocument,
     build_index,
     index_documents,
@@ -163,8 +161,6 @@ def threshold_sweep(
     units: Sequence[KnowledgeUnit],
     queries: Sequence[BenchQuery],
     theta_grid: Sequence[float] = DEFAULT_THETA_GRID,
-    k: int = EVAL_K,
-    boosts: BoostTable = DEFAULT_BOOSTS,
 ) -> list[dict]:
     """Per-class fraction of queries returning at least one hit, per theta.
 
@@ -180,7 +176,7 @@ def threshold_sweep(
         row: dict = {"theta": theta}
         for cls in sorted(by_class):
             members = by_class[cls]
-            hits = sum(1 for bench in members if query(index, bench.query, k=k, theta=theta, boosts=boosts))
+            hits = sum(1 for bench in members if query(index, bench.query, k=EVAL_K, theta=theta))
             row[cls] = hits / len(members)
         rows.append(row)
     return rows
@@ -260,16 +256,6 @@ def score_cases(cases: Sequence[TimeTravelCase], retriever: CommitRetriever) -> 
     return metrics
 
 
-def time_travel_eval(
-    repo_path,
-    n_fixes: int,
-    window_size: int,
-    retriever: CommitRetriever,
-) -> dict[str, float]:
-    """Build the cases and score one retriever on them (see score_cases)."""
-    return score_cases(time_travel_cases(repo_path, n_fixes, window_size), retriever)
-
-
 class _CommitDocuments:
     """Each commit's units, extracted and tokenized at most once.
 
@@ -277,15 +263,14 @@ class _CommitDocuments:
     fallback on rule-silent commits, as extract_commit_units does.
     """
 
-    def __init__(self, rules: tuple[HeuristicRule, ...]):
-        self.rules = rules
+    def __init__(self) -> None:
         self._rule_docs: dict[str, list[IndexedDocument]] = {}
         self._fallback_docs: dict[str, list[IndexedDocument]] = {}
 
     def of(self, commit: Commit, fallback_enabled: bool) -> list[IndexedDocument]:
         docs = self._rule_docs.get(commit.sha)
         if docs is None:
-            units = extract_commit_units(commit, self.rules, fallback_enabled=False)
+            units = extract_commit_units(commit, fallback_enabled=False)
             docs = self._rule_docs[commit.sha] = [tokenize_unit(unit) for unit in units]
         if docs or not fallback_enabled:
             return docs
@@ -297,9 +282,7 @@ class _CommitDocuments:
         return fallback
 
 
-def _cd_run(
-    documents: _CommitDocuments, fallback_enabled: bool, theta: float, boosts: BoostTable
-) -> CommitRetriever:
+def _cd_run(documents: _CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
     def run(window: list[Commit], query_text: str) -> list[str]:
         short_to_full = {commit.short_sha: commit.sha for commit in window}
         # A unit id found in several commits belongs to the first in window order.
@@ -308,7 +291,7 @@ def _cd_run(
             for doc in documents.of(commit, fallback_enabled):
                 by_id.setdefault(doc.unit.id, doc)
         index = index_documents([by_id[uid] for uid in sorted(by_id)])
-        hits = query(index, query_text, k=max(50, EVAL_K), theta=theta, boosts=boosts)
+        hits = query(index, query_text, k=max(50, EVAL_K), theta=theta)
         shas: list[str] = []
         for hit in hits:
             full = short_to_full.get(hit.unit.meta.get("commit", ""))
@@ -321,35 +304,30 @@ def _cd_run(
     return run
 
 
-def cd_retriever(
-    fallback_enabled: bool = True,
-    theta: float = DEFAULT_THETA,
-    boosts: BoostTable = DEFAULT_BOOSTS,
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-) -> CommitRetriever:
+def cd_retriever(fallback_enabled: bool = True, theta: float = DEFAULT_THETA) -> CommitRetriever:
     """Distilled-store retriever; candidates resolve to their source commits."""
-    return cd_retrievers(theta, boosts, rules)["cd_v2" if fallback_enabled else "cd_v1"]
+    return cd_retrievers(theta)["cd_v2" if fallback_enabled else "cd_v1"]
 
 
-def cd_retrievers(
-    theta: float = DEFAULT_THETA,
-    boosts: BoostTable = DEFAULT_BOOSTS,
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-) -> dict[str, CommitRetriever]:
+def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
     """CD-v1 (rules only) and CD-v2 (with the subject fallback), extracting
     and tokenizing each window commit once for both."""
-    documents = _CommitDocuments(rules)
+    documents = _CommitDocuments()
     return {
-        "cd_v1": _cd_run(documents, False, theta, boosts),
-        "cd_v2": _cd_run(documents, True, theta, boosts),
+        "cd_v1": _cd_run(documents, False, theta),
+        "cd_v2": _cd_run(documents, True, theta),
     }
 
 
-def bm25_retriever(k1: float = 1.5, b: float = 0.75) -> CommitRetriever:
-    tf_cache: dict[str, Counter] = {}
+def bm25_retriever() -> CommitRetriever:
+    """BM25 over each window, tokenizing each commit once per retriever."""
+    documents: dict[str, Bm25Document] = {}
 
     def run(window: list[Commit], query_text: str) -> list[str]:
-        index = build_bm25_index(window, k1=k1, b=b, tf_cache=tf_cache)
+        for commit in window:
+            if commit.sha not in documents:
+                documents[commit.sha] = tokenize_commit(commit)
+        index = index_bm25_documents([documents[commit.sha] for commit in window])
         return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
 
     return run
@@ -401,21 +379,6 @@ def bootstrap_ci(
     lo_index = int(math.floor(alpha * resamples))
     hi_index = min(resamples - 1, int(math.ceil((1.0 - alpha) * resamples)) - 1)
     return values[lo_index], values[hi_index]
-
-
-def derive_queries(commits: Sequence[Commit], n: int) -> list[str]:
-    """Cleaned recent commit subjects, minus bot/release/merge noise."""
-    queries: list[str] = []
-    for commit in commits:
-        if len(queries) == n:
-            break
-        if gitio.is_bot_release_or_merge_subject(commit.subject):
-            continue
-        cleaned = gitio.clean_subject(commit.subject)
-        if not cleaned:
-            continue
-        queries.append(cleaned)
-    return queries
 
 
 def load_benchmark(path: Path | str) -> list[BenchQuery]:

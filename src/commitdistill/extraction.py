@@ -397,13 +397,9 @@ def subject_fallback_unit(commit: Commit) -> KnowledgeUnit | None:
     )
 
 
-def extract_commit_units(
-    commit: Commit,
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-    fallback_enabled: bool = True,
-) -> list[KnowledgeUnit]:
+def extract_commit_units(commit: Commit, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
     """Units for one commit; the fallback fires only when the rules are silent."""
-    units = extract_units(commit.message, commit_meta(commit), rules)
+    units = extract_units(commit.message, commit_meta(commit))
     if not units and fallback_enabled:
         fallback = subject_fallback_unit(commit)
         if fallback is not None:
@@ -411,27 +407,20 @@ def extract_commit_units(
     return units
 
 
-def extract_commits(
-    commits: list[Commit],
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-    fallback_enabled: bool = True,
-) -> list[KnowledgeUnit]:
+def extract_commits(commits: list[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
     """Union of per-commit units, deduplicated by id, sorted by id."""
     by_id: dict[str, KnowledgeUnit] = {}
     for commit in commits:
-        for unit in extract_commit_units(commit, rules, fallback_enabled):
+        for unit in extract_commit_units(commit, fallback_enabled):
             by_id.setdefault(unit.id, unit)
     return sorted(by_id.values(), key=lambda unit: unit.id)
 
 
 def extract_repository(
-    repo_path,
-    max_count: int = 5000,
-    rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
-    fallback_enabled: bool = True,
+    repo_path, max_count: int = 5000, fallback_enabled: bool = True
 ) -> list[KnowledgeUnit]:
     commits = gitio.list_commits(repo_path, max_count)
-    return extract_commits(commits, rules, fallback_enabled)
+    return extract_commits(commits, fallback_enabled)
 
 
 def subject_fallback_enabled(env=os.environ) -> bool:

@@ -156,56 +156,18 @@ def _read_log(path: Path, max_count: int | None, with_files: bool) -> list[Commi
     return _parse_log(_run_git(args, path), with_files)
 
 
-def _as_datetime(value: datetime | str) -> datetime:
-    if isinstance(value, datetime):
-        return value
+def _as_datetime(value: str) -> datetime:
     # git 2.45+ prints UTC as "Z", which fromisoformat accepts only from 3.11
     if value.endswith("Z"):
         value = value[:-1] + "+00:00"
     return datetime.fromisoformat(value)
 
 
-def list_commits(
-    repo_path: Path | str,
-    max_count: int = 5000,
-    before: datetime | str | None = None,
-) -> list[Commit]:
-    """Newest-first commits, at most ``max_count``.
-
-    With ``before`` set, only commits whose *author* date is strictly earlier
-    are returned; the filter runs on the parsed author date rather than on
-    ``git log --before`` (which filters on commit date).
-    """
+def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:
+    """Newest-first commits, at most ``max_count``."""
     if max_count < 1:
         raise ValueError("max_count must be >= 1")
-    path = _ensure_repo(repo_path)
-    commits = _read_log(path, max_count if before is None else None, with_files=False)
-    if before is not None:
-        cutoff = _as_datetime(before)
-        commits = [c for c in commits if c.author_datetime() < cutoff]
-    return commits[:max_count]
-
-
-def changed_files(repo_path: Path | str, sha: str) -> set[str]:
-    """Name-only diff of a commit against its first parent.
-
-    Root commits diff against the empty tree; an empty commit yields an
-    empty set. Unknown shas raise GitError.
-    """
-    path = _ensure_repo(repo_path)
-    try:
-        _run_git(["rev-parse", "--verify", f"{sha}^{{commit}}"], path)
-    except GitError as exc:
-        raise GitError(f"unknown sha {sha}: {exc}") from exc
-    try:
-        _run_git(["rev-parse", "--verify", "--quiet", f"{sha}^1"], path)
-    except GitError:
-        output = _run_git(
-            ["diff-tree", "--root", "-r", "--name-only", "--no-commit-id", sha], path
-        )
-    else:
-        output = _run_git(["diff", "--name-only", f"{sha}^1", sha], path)
-    return {line for line in output.splitlines() if line}
+    return _read_log(_ensure_repo(repo_path), max_count, with_files=False)
 
 
 def list_commits_with_files(
@@ -213,8 +175,8 @@ def list_commits_with_files(
 ) -> list[Commit]:
     """Newest-first commits with ``changed_files`` set, from one git call.
 
-    The file sets are first-parent name-only diffs, as ``changed_files``
-    computes them one commit at a time.
+    The file sets are name-only diffs against the first parent; a root
+    commit diffs against the empty tree.
     """
     return _read_log(_ensure_repo(repo_path), max_count, with_files=True)
 

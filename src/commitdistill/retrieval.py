@@ -16,13 +16,10 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 
-from .extraction import KnowledgeUnit, truncate_at_word
+from .extraction import KnowledgeUnit
 
 _WORD_RE = re.compile(r"\w+")
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
-
-HYBRID_BODY_BUDGET = 140
-HYBRID_BODY_LINES = 3
 
 
 @dataclass(frozen=True)
@@ -164,18 +161,3 @@ def query(
     hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
     return hits[:k]
 
-
-def render_hybrid(hit: RankedHit, commit_body: str) -> str:
-    """Typed-claim header plus a capped excerpt of the linked commit body.
-
-    The excerpt draws from at most 3 non-empty body lines and at most 140
-    chars, matching the per-item body budget of the raw-prose baseline.
-    """
-    header = f"{hit.unit.unit_type}:{hit.unit.title}"
-    lines = [line.strip() for line in commit_body.splitlines() if line.strip()]
-    if not lines:
-        return header
-    excerpt = truncate_at_word("\n".join(lines[:HYBRID_BODY_LINES]), HYBRID_BODY_BUDGET)
-    if not excerpt:
-        return header
-    return f"{header}\n{excerpt}"

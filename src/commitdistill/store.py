@@ -10,21 +10,27 @@ import json
 import os
 import stat
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .extraction import KnowledgeUnit
+from .extraction import UNIT_TYPES, KnowledgeUnit
 
 SCHEMA_VERSION = 1
 STORE_DIR = ".knowledge"
 STORE_FILENAME = "units.json"
 UNIT_FIELDS = frozenset({"id", "type", "title", "content", "weight", "context", "meta"})
+# What load accepts: (type, then the Python types of weight, id, title,
+# content, context and meta).
+_UNIT_SHAPES = frozenset(
+    (unit_type, weight_type, str, str, str, str, dict)
+    for unit_type in UNIT_TYPES
+    for weight_type in (int, float)
+)
 
 
 @dataclass
 class KnowledgeStore:
     units: dict[str, KnowledgeUnit] = field(default_factory=dict)
-    schema_version: int = SCHEMA_VERSION
 
     def sorted_units(self) -> list[KnowledgeUnit]:
         return [self.units[uid] for uid in sorted(self.units)]
@@ -34,13 +40,6 @@ class KnowledgeStore:
         for unit in self.units.values():
             counts[unit.unit_type] = counts.get(unit.unit_type, 0) + 1
         return counts
-
-
-def from_units(units) -> KnowledgeStore:
-    store = KnowledgeStore()
-    for unit in units:
-        store.units.setdefault(unit.id, unit)
-    return store
 
 
 def store_path(root: Path | str) -> Path:
@@ -85,10 +84,28 @@ def write_canonical(path: Path, payload) -> Path:
 
 def save(store: KnowledgeStore, root: Path | str) -> Path:
     payload = {
-        "schema_version": store.schema_version,
+        "schema_version": SCHEMA_VERSION,
         "units": [unit.to_dict() for unit in store.sorted_units()],
     }
     return write_canonical(store_path(root), payload)
+
+
+def _unit_problem(entry) -> str | None:
+    """What makes one stored unit unreadable, or None if nothing does."""
+    if not isinstance(entry, dict):
+        return "is not a JSON object"
+    if not UNIT_FIELDS <= entry.keys():
+        return "lacks " + ", ".join(sorted(UNIT_FIELDS - entry.keys()))
+    if entry["type"] not in UNIT_TYPES:
+        return f"has unknown type {entry['type']!r}"
+    if type(entry["weight"]) not in (int, float):  # JSON true/false load as bool
+        return "has a non-numeric weight"
+    for name in ("id", "title", "content", "context"):
+        if type(entry[name]) is not str:
+            return f"has a non-string {name}"
+    if type(entry["meta"]) is not dict:
+        return "has a non-object meta"
+    return None
 
 
 def load(root: Path | str) -> KnowledgeStore:
@@ -112,13 +129,31 @@ def load(root: Path | str) -> KnowledgeStore:
     entries = payload.get("units")
     if not isinstance(entries, list):
         raise ValueError(f"knowledge store {path} has no units list")
-    store = KnowledgeStore(schema_version=version)
-    for position, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ValueError(f"knowledge store {path}: unit {position} is not a JSON object")
-        if not UNIT_FIELDS <= entry.keys():
-            missing = ", ".join(sorted(UNIT_FIELDS - entry.keys()))
-            raise ValueError(f"knowledge store {path}: unit {position} lacks {missing}")
+    # One pass over the list decides; a unit is only diagnosed on failure.
+    try:
+        shapes = {
+            (
+                entry["type"],
+                type(entry["weight"]),
+                type(entry["id"]),
+                type(entry["title"]),
+                type(entry["content"]),
+                type(entry["context"]),
+                type(entry["meta"]),
+            )
+            for entry in entries
+        }
+    except (TypeError, KeyError):  # not an object, a missing field, an unhashable type
+        shapes = None
+    if shapes is None or not shapes <= _UNIT_SHAPES:
+        position, problem = next(
+            (position, problem)
+            for position, entry in enumerate(entries)
+            if (problem := _unit_problem(entry))
+        )
+        raise ValueError(f"knowledge store {path}: unit {position} {problem}")
+    store = KnowledgeStore()
+    for entry in entries:
         unit = KnowledgeUnit.from_dict(entry)
         store.units[unit.id] = unit
     return store
@@ -126,7 +161,7 @@ def load(root: Path | str) -> KnowledgeStore:
 
 def merge(existing: KnowledgeStore, incoming) -> KnowledgeStore:
     """Union by id; on collision the existing unit (and its meta) wins."""
-    merged = KnowledgeStore(dict(existing.units), existing.schema_version)
+    merged = KnowledgeStore(dict(existing.units))
     for unit in incoming:
         merged.units.setdefault(unit.id, unit)
     return merged
@@ -134,18 +169,10 @@ def merge(existing: KnowledgeStore, incoming) -> KnowledgeStore:
 
 def strip_attribution(store: KnowledgeStore) -> KnowledgeStore:
     """Replace author fields with "redacted"; shas and ids stay put."""
-    scrubbed = KnowledgeStore(schema_version=store.schema_version)
+    scrubbed = KnowledgeStore()
     for uid, unit in store.units.items():
         meta = dict(unit.meta)
         if "author" in meta:
             meta["author"] = "redacted"
-        scrubbed.units[uid] = KnowledgeUnit(
-            id=unit.id,
-            unit_type=unit.unit_type,
-            title=unit.title,
-            content=unit.content,
-            weight=unit.weight,
-            context=unit.context,
-            meta=meta,
-        )
+        scrubbed.units[uid] = replace(unit, meta=meta)
     return scrubbed

@@ -4,15 +4,20 @@ These deliberately re-derive every quantity from scratch (document stats,
 idf, normalization) instead of touching the production index structures.
 The time-travel oracles are the straightforward versions of the case
 builder and the distilled-store retriever that the shared, cached ones in
-``commitdistill.evaluation`` must reproduce exactly.
+``commitdistill.evaluation`` must reproduce exactly. The ``eval`` payload
+oracles compose the library calls one command at a time, each building its
+own commits, units and indexes, so that the files the CLI writes can be
+compared byte for byte.
 """
 from __future__ import annotations
 
 import math
+import subprocess
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.extraction import DEFAULT_RULES, extract_commit_units
+from commitdistill.baselines import bm25_query, build_bm25_index, grep_search
+from commitdistill.extraction import extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
     DEFAULT_THETA,
@@ -115,12 +120,30 @@ def metrics_oracle(rankings, truths):
     }
 
 
+def changed_files_oracle(repo_path, sha: str) -> set[str]:
+    """Name-only diff of one commit against its first parent, from git calls
+    for that commit alone; a root commit diffs against the empty tree."""
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", *args], cwd=repo_path, check=True, encoding="utf-8",
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        ).stdout
+
+    try:
+        git("rev-parse", "--verify", "--quiet", f"{sha}^1")
+    except subprocess.CalledProcessError:
+        output = git("diff-tree", "--root", "-r", "--name-only", "--no-commit-id", sha)
+    else:
+        output = git("diff", "--name-only", f"{sha}^1", sha)
+    return {line for line in output.splitlines() if line}
+
+
 def time_travel_cases_oracle(repo_path, n_fixes: int, window_size: int):
     """Cases rebuilt per call: author dates parsed with ``datetime`` for every
     commit in every fix's scan, file sets from one ``git diff`` per commit."""
     commits = gitio.list_commits(repo_path, max_count=10**9)
     for commit in commits:
-        commit.changed_files = gitio.changed_files(repo_path, commit.sha)
+        commit.changed_files = changed_files_oracle(repo_path, commit.sha)
     cases = []
     for fix in commits:
         if len(cases) == n_fixes:
@@ -154,7 +177,7 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
         by_id = {}
         for commit in window:
             if commit.sha not in unit_cache:
-                unit_cache[commit.sha] = extract_commit_units(commit, DEFAULT_RULES, fallback_enabled)
+                unit_cache[commit.sha] = extract_commit_units(commit, fallback_enabled)
             for unit in unit_cache[commit.sha]:
                 by_id.setdefault(unit.id, unit)
         index = build_index([by_id[uid] for uid in sorted(by_id)])
@@ -171,6 +194,15 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
     return run
 
 
+def bm25_retriever_oracle():
+    """BM25 retriever that indexes every window from scratch."""
+    def run(window, query_text: str) -> list[str]:
+        index = build_bm25_index(window)
+        return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
+
+    return run
+
+
 def time_travel_payload_oracle(
     repo_path, n_fixes: int, window_size: int, theta: float = DEFAULT_THETA
 ):
@@ -178,7 +210,7 @@ def time_travel_payload_oracle(
     every retriever and the metrics recomputed with plain loops."""
     retrievers = {
         "grep": ev.grep_retriever(),
-        "bm25": ev.bm25_retriever(),
+        "bm25": bm25_retriever_oracle(),
         "cd_v1": cd_retriever_oracle(fallback_enabled=False, theta=theta),
         "cd_v2": cd_retriever_oracle(fallback_enabled=True, theta=theta),
     }
@@ -191,3 +223,86 @@ def time_travel_payload_oracle(
         methods[name] = metrics_oracle(rankings, [case.ground_truth for case in cases])
         methods[name]["n_fixes"] = float(len(cases))
     return {"n_fixes": n_fixes, "window": window_size, "methods": methods}
+
+
+def baseline_payload_oracle(
+    repo_path, benchmark, fallback_enabled: bool, max_commits: int = 5000,
+    k: int = EVAL_K, theta: float = DEFAULT_THETA,
+):
+    """The ``eval baseline`` result payload."""
+    queries = ev.load_benchmark(benchmark)
+    commits = gitio.list_commits(repo_path, max_commits)
+    units = extract_commits(commits, fallback_enabled=fallback_enabled)
+    index = build_index(units)
+    bm25_index = build_bm25_index(commits)
+    rows = []
+    answered = {"commitdistill": 0, "grep": 0, "bm25": 0}
+    for bench in queries:
+        cd_hits = query(index, bench.query, k=k, theta=theta)
+        grep_hits = grep_search(commits, bench.query, k=k)
+        bm25_hits = bm25_query(bm25_index, bench.query, k=k)
+        answered["commitdistill"] += bool(cd_hits)
+        answered["grep"] += bool(grep_hits)
+        answered["bm25"] += bool(bm25_hits)
+        rows.append(
+            {
+                "query": bench.query,
+                "query_class": bench.query_class,
+                "commitdistill": [
+                    {"score": hit.score, "content": hit.unit.content, "commit": hit.unit.meta.get("commit", "")}
+                    for hit in cd_hits
+                ],
+                "grep": [{"rank": rank, "subject": c.subject, "commit": c.short_sha} for c, rank in grep_hits],
+                "bm25": [{"score": s, "subject": c.subject, "commit": c.short_sha} for c, s in bm25_hits],
+            }
+        )
+    return {"n_queries": len(queries), "answered": answered, "results": rows}
+
+
+def budget_payload_oracle(
+    repo_path, benchmark, fallback_enabled: bool, max_commits: int = 5000,
+    budgets=ev.DEFAULT_BUDGETS, theta: float = DEFAULT_THETA,
+):
+    """The ``eval budget`` result payload."""
+    queries = [q for q in ev.load_benchmark(benchmark) if q.answer_span]
+    commits = gitio.list_commits(repo_path, max_commits)
+    units = extract_commits(commits, fallback_enabled=fallback_enabled)
+    index = build_index(units)
+    bm25_index = build_bm25_index(commits)
+    retrievers = {
+        "commitdistill": lambda text: [
+            hit.unit.content for hit in query(index, text, k=EVAL_K, theta=theta)
+        ],
+        "grep": lambda text: [c.message for c, _ in grep_search(commits, text, k=EVAL_K)],
+        "bm25": lambda text: [c.message for c, _ in bm25_query(bm25_index, text, k=EVAL_K)],
+    }
+    results = ev.budget_sweep(queries, retrievers, budgets)
+    payload: dict = {"n_queries": len(queries), "budgets": list(budgets), "retrievers": {}}
+    for name, result in results.items():
+        entry = {
+            "rows": [
+                {"budget": budget, "hit_rate": rate}
+                for budget, rate in result["hit_rate_by_budget"].items()
+            ],
+            "unconstrained_hit_at_10": result["unconstrained_hit_at_10"],
+            "median_top1_length": result["median_top1_length"],
+        }
+        if 256 in result["per_query_hits"] and len(queries) >= 2:
+            entry["jackknife_min_at_256"] = ev.jackknife_min(result["per_query_hits"][256])
+        payload["retrievers"][name] = entry
+    return payload
+
+
+def sweep_payload_oracle(
+    repo_path, benchmark, max_commits: int = 5000, thetas=ev.DEFAULT_THETA_GRID
+):
+    """The ``eval sweep`` result payload."""
+    queries = ev.load_benchmark(benchmark)
+    commits = gitio.list_commits(repo_path, max_commits)
+    v1_units = extract_commits(commits, fallback_enabled=False)
+    v2_units = extract_commits(commits, fallback_enabled=True)
+    return {
+        "cd_v1": ev.threshold_sweep(v1_units, queries, thetas),
+        "cd_v2": ev.threshold_sweep(v2_units, queries, thetas),
+        "n_queries": len(queries),
+    }

@@ -108,8 +108,8 @@ def test_criterion_02_extraction_determinism_and_dedup(oracle_repo, tmp_path):
 
     root_a = tmp_path / "a"
     root_b = tmp_path / "b"
-    store.save(store.from_units(first_units), root_a)
-    store.save(store.from_units(second_units), root_b)
+    store.save(store.merge(store.KnowledgeStore(), first_units), root_a)
+    store.save(store.merge(store.KnowledgeStore(), second_units), root_b)
     bytes_a = store.store_path(root_a).read_bytes()
     bytes_b = store.store_path(root_b).read_bytes()
     assert bytes_a == bytes_b
@@ -259,7 +259,7 @@ def test_criterion_06_time_travel_protocol(timetravel_repo):
             _recorded.append(ranking)
             return ranking
 
-        metrics = ev.time_travel_eval(repo, n_fixes=3, window_size=100, retriever=spy)
+        metrics = ev.score_cases(ev.time_travel_cases(repo, n_fixes=3, window_size=100), spy)
         brute = metrics_oracle(recorded, [case.ground_truth for case in cases])
         for key, value in brute.items():
             assert metrics[key] == pytest.approx(value, abs=1e-12), key

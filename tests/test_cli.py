@@ -11,11 +11,23 @@ import pytest
 
 from commitdistill import cli, store
 
-from oracles import time_travel_payload_oracle
+from oracles import (
+    baseline_payload_oracle,
+    budget_payload_oracle,
+    sweep_payload_oracle,
+    time_travel_payload_oracle,
+)
 from test_evaluation import DIFFERENTIAL_REPOS
 
 DATA = Path(__file__).parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+# eval command -> (result file, payload oracle)
+EVAL_ORACLES = {
+    "baseline": ("baseline_results.json", baseline_payload_oracle),
+    "budget": ("budget_table.json", budget_payload_oracle),
+    "sweep": ("threshold_sweep.json", sweep_payload_oracle),
+}
 
 
 def run_cli(*args: str) -> int:
@@ -54,6 +66,31 @@ class TestExtract:
         assert run_cli("extract", "--repo", str(repo)) == 0
         assert "new: 0" in capsys.readouterr().out
 
+    def test_unchanged_store_is_not_rewritten(self, extracted_repo, capsys):
+        repo, _ = extracted_repo
+        store_file = store.store_path(repo)
+        before = os.stat(store_file)
+        data = store_file.read_bytes()
+        assert run_cli("extract", "--repo", str(repo)) == 0
+        assert capsys.readouterr().out == (
+            "facts: 3\nskills: 2\npatterns: 4\n"
+            "total: 9 units from 10 commits (900.0 per 1000 commits)\nnew: 0\n"
+        )
+        after = os.stat(store_file)
+        assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+        assert store_file.read_bytes() == data
+
+    def test_new_units_are_merged_into_an_existing_store(self, calibration_repo, capsys):
+        repo, _ = calibration_repo
+        store_file = store.store_path(repo)
+        if store_file.exists():
+            store_file.unlink()
+        assert run_cli("extract", "--repo", str(repo), "--fallback", "off") == 0
+        assert len(store.load(repo).units) == 8
+        assert run_cli("extract", "--repo", str(repo), "--fallback", "on") == 0
+        assert capsys.readouterr().out.endswith("new: 1\n")
+        assert len(store.load(repo).units) == 9
+
     def test_env_var_disables_fallback(self, calibration_repo, capsys, monkeypatch):
         repo, _ = calibration_repo
         store_file = store.store_path(repo)
@@ -75,6 +112,15 @@ class TestExtract:
     def test_bad_repo_exits_2(self, tmp_path, capsys):
         assert run_cli("extract", "--repo", str(tmp_path / "missing")) == 2
         assert "error" in capsys.readouterr().err
+
+
+def _one_unit_store(**override) -> str:
+    """A store whose second unit is a valid unit with ``override`` applied."""
+    valid = {
+        "id": "0123456789ab", "type": "fact", "title": "a fact", "content": "a fact",
+        "weight": 0.75, "context": "a fact", "meta": {"commit": "0123abcd"},
+    }
+    return json.dumps({"schema_version": 1, "units": [valid, {**valid, **override}]})
 
 
 class TestStoreFile:
@@ -106,6 +152,19 @@ class TestStoreFile:
              "unit 0 lacks content, context, meta, title, weight"),
             ('{"schema_version": 1, "units": ["abc"]}', "unit 0 is not a JSON object"),
             ("{not json", "is not valid JSON"),
+            pytest.param(_one_unit_store(type="bogus"), "unit 1 has unknown type 'bogus'", id="type-bogus"),
+            pytest.param(_one_unit_store(type=["fact"]), "unit 1 has unknown type ['fact']", id="type-array"),
+            pytest.param(_one_unit_store(weight="high"), "unit 1 has a non-numeric weight", id="weight-string"),
+            pytest.param(_one_unit_store(weight=True), "unit 1 has a non-numeric weight", id="weight-bool"),
+            pytest.param(_one_unit_store(weight=None), "unit 1 has a non-numeric weight", id="weight-null"),
+            pytest.param(_one_unit_store(id=7), "unit 1 has a non-string id", id="id-number"),
+            pytest.param(_one_unit_store(title=None), "unit 1 has a non-string title", id="title-null"),
+            pytest.param(_one_unit_store(content=["text"]), "unit 1 has a non-string content",
+                         id="content-array"),
+            pytest.param(_one_unit_store(context={}), "unit 1 has a non-string context", id="context-object"),
+            pytest.param(_one_unit_store(meta=[["commit", "0123abcd"]]), "unit 1 has a non-object meta",
+                         id="meta-array"),
+            pytest.param(_one_unit_store(meta="0123abcd"), "unit 1 has a non-object meta", id="meta-string"),
         ],
     )
     def test_malformed_store_is_a_one_line_error(self, tmp_path, capsys, text, problem):
@@ -212,6 +271,35 @@ class TestEvalCommands:
         assert payload["answered"]["commitdistill"] >= 3
         first = payload["results"][0]
         assert {"query", "query_class", "commitdistill", "grep", "bm25"} <= set(first)
+
+    @pytest.mark.parametrize(
+        "command, bench_file, flags, oracle_args",
+        [
+            ("baseline", "benchmark_classes.json", ["--fallback", "on"], {"fallback_enabled": True}),
+            ("baseline", "benchmark_classes.json", ["--fallback", "off"], {"fallback_enabled": False}),
+            ("baseline", "benchmark_classes.json", ["--fallback", "on", "--k", "2", "--theta", "0"],
+             {"fallback_enabled": True, "k": 2, "theta": 0.0}),
+            ("budget", "benchmark_budget.json", ["--fallback", "on"], {"fallback_enabled": True}),
+            ("budget", "benchmark_budget.json", ["--fallback", "off"], {"fallback_enabled": False}),
+            ("budget", "benchmark_classes.json", ["--fallback", "on", "--budgets", "64,256", "--theta", "0"],
+             {"fallback_enabled": True, "budgets": [64, 256], "theta": 0.0}),
+            ("sweep", "benchmark_classes.json", [], {}),
+        ],
+        ids=["baseline-on", "baseline-off", "baseline-k2-theta0", "budget-on", "budget-off",
+             "budget-two-budgets-theta0", "sweep"],
+    )
+    def test_eval_results_match_oracle_bytes(
+        self, extracted_repo, tmp_path, command, bench_file, flags, oracle_args
+    ):
+        repo, _ = extracted_repo
+        bench = DATA / bench_file
+        out_dir = tmp_path / "evalout"
+        assert run_cli(
+            "eval", command, "--repo", str(repo), "--benchmark", str(bench), "--out", str(out_dir), *flags
+        ) == 0
+        filename, oracle = EVAL_ORACLES[command]
+        want = store.canonical_json(oracle(repo, bench, **oracle_args))
+        assert (out_dir / filename).read_bytes() == want.encode("utf-8")
 
     def test_timetravel(self, timetravel_repo, tmp_path):
         repo, _ = timetravel_repo

@@ -8,8 +8,12 @@ from hypothesis import given, settings, strategies as st
 from commitdistill import evaluation as ev
 from commitdistill import gitio
 
-from oracles import cd_retriever_oracle, metrics_oracle, time_travel_cases_oracle
-from test_baselines import make_commit
+from oracles import (
+    bm25_retriever_oracle,
+    cd_retriever_oracle,
+    metrics_oracle,
+    time_travel_cases_oracle,
+)
 from test_store import make_unit
 
 
@@ -194,7 +198,7 @@ class TestTimeTravel:
             ev.cd_retriever(fallback_enabled=False),
             ev.cd_retriever(fallback_enabled=True),
         ):
-            metrics = ev.time_travel_eval(repo, n_fixes=3, window_size=100, retriever=retriever)
+            metrics = ev.score_cases(ev.time_travel_cases(repo, n_fixes=3, window_size=100), retriever)
             assert metrics["n_fixes"] == 3.0
             for key in ("hit_at_1", "hit_at_3", "hit_at_10", "mrr"):
                 assert 0.0 <= metrics[key] <= 1.0
@@ -234,7 +238,7 @@ class TestTimeTravelAgainstOracle:
         oracle_cases = time_travel_cases_oracle(repo, n_fixes, window)
         want = {
             "grep": _rankings(oracle_cases, ev.grep_retriever()),
-            "bm25": _rankings(oracle_cases, ev.bm25_retriever()),
+            "bm25": _rankings(oracle_cases, bm25_retriever_oracle()),
             "cd_v1": _rankings(oracle_cases, cd_retriever_oracle(False, theta=theta)),
             "cd_v2": _rankings(oracle_cases, cd_retriever_oracle(True, theta=theta)),
         }
@@ -336,24 +340,6 @@ class TestBootstrap:
             if not lo <= self._mean(samples) <= hi:
                 violations += 1
         assert violations == 0
-
-
-class TestDeriveQueries:
-    def test_filters_and_cleaning(self):
-        commits = [
-            make_commit(9, "Merge pull request #12 from user/branch"),
-            make_commit(8, "v2.31.0"),
-            make_commit(7, "fix: handle chunked encoding (#88)"),
-            make_commit(6, "Improve cookie handling"),
-        ]
-        assert ev.derive_queries(commits, 10) == [
-            "handle chunked encoding",
-            "Improve cookie handling",
-        ]
-
-    def test_limit(self):
-        commits = [make_commit(i, f"change number {i} landed") for i in range(5)]
-        assert len(ev.derive_queries(commits, 2)) == 2
 
 
 class TestInputFiles:

@@ -9,6 +9,7 @@ from commitdistill import gitio
 from commitdistill.gitio import CommitParseError, GitError
 
 from conftest import RepoBuilder, run_git
+from oracles import changed_files_oracle
 
 
 def test_single_commit_matches_rev_parse_head(repo_builder: RepoBuilder):
@@ -25,18 +26,6 @@ def test_commits_come_newest_first_and_respect_max_count(repo_builder: RepoBuild
     commits = gitio.list_commits(repo_builder.path, max_count=3)
     assert [c.sha for c in commits] == list(reversed(shas))[:3]
     assert all(len(c.sha) == 40 and c.short_sha == c.sha[:8] for c in commits)
-
-
-def test_before_filter_is_strict_on_author_date(repo_builder: RepoBuilder):
-    repo_builder.commit("old", date="2023-01-01T10:00:00+00:00")
-    repo_builder.commit("cut", date="2023-01-02T10:00:00+00:00")
-    repo_builder.commit("new", date="2023-01-03T10:00:00+00:00")
-    commits = gitio.list_commits(
-        repo_builder.path, max_count=5000, before="2023-01-02T10:00:00+00:00"
-    )
-    assert [c.subject for c in commits] == ["old"]
-    cutoff = gitio._as_datetime("2023-01-02T10:00:00+00:00")
-    assert all(c.author_datetime() < cutoff for c in commits)
 
 
 def test_listing_is_deterministic(repo_builder: RepoBuilder):
@@ -85,10 +74,12 @@ def test_missing_and_non_repo_paths_raise(tmp_path):
         gitio.list_commits(plain, max_count=1)
 
 
-def test_changed_files_single_and_multi(repo_builder: RepoBuilder):
-    single = repo_builder.commit("touch readme", files={"README.md": "hello\n"})
-    assert gitio.changed_files(repo_builder.path, single) == {"README.md"}
+def _files_by_sha(repo) -> dict[str, set[str]]:
+    return {c.sha: c.changed_files for c in gitio.list_commits_with_files(repo)}
 
+
+def test_changed_files_single_and_multi(repo_builder: RepoBuilder):
+    root = repo_builder.commit("touch readme", files={"README.md": "hello\n"})
     tri = repo_builder.commit(
         "touch three",
         files={"a.py": "a\n", "b/b.py": "b\n", "c.txt": "c\n"},
@@ -100,7 +91,9 @@ def test_changed_files_single_and_multi(repo_builder: RepoBuilder):
         ).splitlines()
         if line
     }
-    assert gitio.changed_files(repo_builder.path, tri) == expected == {"a.py", "b/b.py", "c.txt"}
+    files = _files_by_sha(repo_builder.path)
+    assert files[root] == changed_files_oracle(repo_builder.path, root) == {"README.md"}
+    assert files[tri] == changed_files_oracle(repo_builder.path, tri) == expected == {"a.py", "b/b.py", "c.txt"}
 
 
 def test_merge_with_no_first_parent_delta_is_empty(repo_builder: RepoBuilder):
@@ -124,13 +117,8 @@ def test_merge_with_no_first_parent_delta_is_empty(repo_builder: RepoBuilder):
         },
     )
     merge_sha = run_git(repo_builder.path, "rev-parse", "HEAD").strip()
-    assert gitio.changed_files(repo_builder.path, merge_sha) == set()
-
-
-def test_unknown_sha_raises(repo_builder: RepoBuilder):
-    repo_builder.commit("real")
-    with pytest.raises(GitError):
-        gitio.changed_files(repo_builder.path, "deadbeef" * 5)
+    files = _files_by_sha(repo_builder.path)
+    assert files[merge_sha] == changed_files_oracle(repo_builder.path, merge_sha) == set()
 
 
 def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilder):
@@ -141,7 +129,7 @@ def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilde
     ]
     bulk = gitio.changed_files_map(repo_builder.path)
     for sha in shas:
-        assert bulk[sha] == gitio.changed_files(repo_builder.path, sha)
+        assert bulk[sha] == changed_files_oracle(repo_builder.path, sha)
 
 
 def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBuilder):
@@ -158,7 +146,7 @@ def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBu
     assert [c.sha for c in with_files] == [c.sha for c in plain]
     for listed, read in zip(plain, with_files):
         assert listed.changed_files is None
-        assert read.changed_files == gitio.changed_files(repo_builder.path, read.sha)
+        assert read.changed_files == changed_files_oracle(repo_builder.path, read.sha)
         read.changed_files = None
         assert read == listed
         assert read.author_epoch == int(read.author_datetime().timestamp())

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitdistill import retrieval
-from commitdistill.retrieval import BoostTable, build_index, query, render_hybrid, tokenize
+from commitdistill.retrieval import BoostTable, build_index, query, tokenize
 
 from oracles import tfidf_oracle
 from test_store import make_unit
@@ -154,32 +154,6 @@ class TestQuery:
         first = query(index, "redirect loop", k=4, theta=0.0)
         second = query(index, "redirect loop", k=4, theta=0.0)
         assert [(h.unit.id, h.score) for h in first] == [(h.unit.id, h.score) for h in second]
-
-
-class TestRenderHybrid:
-    def _hit(self) -> retrieval.RankedHit:
-        unit = make_unit("retry with exponential backoff", unit_type="skill")
-        return retrieval.RankedHit(unit, 1.5)
-
-    def test_empty_body_renders_header_only(self):
-        rendered = render_hybrid(self._hit(), "")
-        assert rendered == "skill:retry with exponential backoff"
-
-    def test_long_body_capped_to_three_lines_and_140_chars(self):
-        body = "\n".join(f"line {i} " + "x" * 45 for i in range(10))
-        rendered = render_hybrid(self._hit(), body)
-        header, _, excerpt = rendered.partition("\n")
-        assert header == "skill:retry with exponential backoff"
-        assert len(excerpt) <= 140
-        assert excerpt.count("\n") <= 2
-
-    def test_payload_is_body_budget_plus_header(self):
-        body = "alpha line one\n\nbeta line two\ngamma line three\ndelta line four"
-        rendered = render_hybrid(self._hit(), body)
-        header, _, excerpt = rendered.partition("\n")
-        assert excerpt == "alpha line one\nbeta line two\ngamma line three"
-        assert len(rendered) == len(header) + 1 + len(excerpt)
-        assert len(excerpt) <= retrieval.HYBRID_BODY_BUDGET
 
 
 _corpus = st.lists(

@@ -24,7 +24,8 @@ def make_unit(content: str, unit_type: str = "fact", weight: float = 0.75,
 
 @pytest.fixture()
 def sample_store() -> store.KnowledgeStore:
-    return store.from_units(
+    return store.merge(
+        store.KnowledgeStore(),
         [
             make_unit("When trying to link via intersphinx, a label must be used.", commit="b5bd0f14"),
             make_unit("raise the pool size for burst traffic", unit_type="skill", weight=0.95),
@@ -134,8 +135,8 @@ _unit_contents = st.lists(
 def test_merge_is_order_insensitive_on_unit_sets(left_contents, right_contents):
     left = [make_unit(c) for c in left_contents]
     right = [make_unit(c) for c in right_contents]
-    one = store.merge(store.from_units(left), right)
-    two = store.merge(store.from_units(right), left)
+    one = store.merge(store.merge(store.KnowledgeStore(), left), right)
+    two = store.merge(store.merge(store.KnowledgeStore(), right), left)
     assert set(one.units) == set(two.units)
     for uid in one.units:
         assert one.units[uid].content == two.units[uid].content
