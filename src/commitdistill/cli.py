@@ -7,7 +7,6 @@ Exit codes: 0 on success (a silent query is success), 1 on usage errors,
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -32,14 +31,6 @@ def _fallback_mode(value: str | None) -> bool:
     return extraction.subject_fallback_enabled()
 
 
-def _comma_floats(raw: str) -> list[float]:
-    return [float(piece) for piece in raw.split(",") if piece.strip()]
-
-
-def _comma_ints(raw: str) -> list[int]:
-    return [int(piece) for piece in raw.split(",") if piece.strip()]
-
-
 def _positive_int(raw: str) -> int:
     value = int(raw)
     if value < 1:
@@ -54,6 +45,19 @@ def _theta(raw: str) -> float:
     return value
 
 
+def _comma_list(check):
+    """Parser of a comma-separated list of distinct values, each passed through ``check``."""
+    def comma_list(raw: str) -> list:
+        values = [check(piece) for piece in raw.split(",") if piece.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"needs at least one value, got {raw!r}")
+        if len(set(values)) < len(values):
+            raise argparse.ArgumentTypeError(f"repeats a value: {raw}")
+        return values
+
+    return comma_list
+
+
 def _write_result(out_dir: str, filename: str, payload) -> Path:
     return store.write_canonical(Path(out_dir) / filename, payload)
 
@@ -61,8 +65,7 @@ def _write_result(out_dir: str, filename: str, payload) -> Path:
 def _verify_manifest_arg(manifest_path: str | None) -> None:
     if manifest_path is None:
         return
-    entries = json.loads(Path(manifest_path).read_text(encoding="utf-8"))
-    verified = evaluation.verify_manifest(entries)
+    verified = evaluation.verify_manifest(evaluation.load_manifest(manifest_path))
     for entry in verified:
         print(f"pinned snapshot ok: {entry.get('name', entry['path'])} @ {entry['head'][:12]}")
 
@@ -118,8 +121,8 @@ def _commits_and_indexes(args: argparse.Namespace):
     and ``eval budget`` search, built once from ``--repo``, ``--max-commits``
     and ``--fallback``."""
     commits = gitio.list_commits(args.repo, args.max_commits)
-    units = extraction.extract_commits(commits, fallback_enabled=_fallback_mode(args.fallback))
-    return commits, retrieval.build_index(units), baselines.build_bm25_index(commits)
+    index = evaluation.CommitDocuments().index(commits, _fallback_mode(args.fallback))
+    return commits, index, baselines.build_bm25_index(commits)
 
 
 def cmd_eval_baseline(args: argparse.Namespace) -> int:
@@ -196,10 +199,9 @@ def cmd_eval_budget(args: argparse.Namespace) -> int:
 def cmd_eval_sweep(args: argparse.Namespace) -> int:
     queries = evaluation.load_benchmark(args.benchmark)
     commits = gitio.list_commits(args.repo, args.max_commits)
-    v1_units = extraction.extract_commits(commits, fallback_enabled=False)
-    v2_units = extraction.extract_commits(commits, fallback_enabled=True)
-    v1_rows = evaluation.threshold_sweep(v1_units, queries, args.thetas)
-    v2_rows = evaluation.threshold_sweep(v2_units, queries, args.thetas)
+    documents = evaluation.CommitDocuments()
+    v1_rows = evaluation.threshold_sweep(documents.index(commits, False), queries, args.thetas)
+    v2_rows = evaluation.threshold_sweep(documents.index(commits, True), queries, args.thetas)
     payload = {"cd_v1": v1_rows, "cd_v2": v2_rows, "n_queries": len(queries)}
     out = _write_result(args.out, "threshold_sweep.json", payload)
     print(f"wrote {out}")
@@ -321,7 +323,7 @@ def build_parser() -> CliParser:
     _add_repo_arg(budget)
     budget.add_argument("--benchmark", required=True)
     budget.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
-    budget.add_argument("--budgets", type=_comma_ints, default=list(evaluation.DEFAULT_BUDGETS))
+    budget.add_argument("--budgets", type=_comma_list(_positive_int), default=list(evaluation.DEFAULT_BUDGETS))
     budget.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     budget.add_argument("--out", default=DEFAULT_OUT_DIR)
     budget.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
@@ -332,7 +334,7 @@ def build_parser() -> CliParser:
     _add_repo_arg(sweep)
     sweep.add_argument("--benchmark", required=True)
     sweep.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
-    sweep.add_argument("--thetas", type=_comma_floats, default=list(evaluation.DEFAULT_THETA_GRID))
+    sweep.add_argument("--thetas", type=_comma_list(_theta), default=list(evaluation.DEFAULT_THETA_GRID))
     sweep.add_argument("--out", default=DEFAULT_OUT_DIR)
     sweep.set_defaults(func=cmd_eval_sweep)
 

@@ -26,13 +26,13 @@ from .baselines import (
     index_bm25_documents,
     tokenize_commit,
 )
-from .extraction import KnowledgeUnit, extract_commit_units, subject_fallback_unit
+from .extraction import extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
     DEFAULT_THETA,
     EVAL_K,
     IndexedDocument,
-    build_index,
+    RetrievalIndex,
     index_documents,
     query,
     tokenize_unit,
@@ -158,26 +158,26 @@ def budget_sweep(
 
 
 def threshold_sweep(
-    units: Sequence[KnowledgeUnit],
+    index: RetrievalIndex,
     queries: Sequence[BenchQuery],
     theta_grid: Sequence[float] = DEFAULT_THETA_GRID,
 ) -> list[dict]:
     """Per-class fraction of queries returning at least one hit, per theta.
 
-    The caller picks the corpus (regex-only vs fallback-augmented), which is
-    what distinguishes the two extraction modes in the sweep.
+    Each query is scored once, on the caller's CD-v1 or CD-v2 index: it
+    answers at theta exactly when its best score is at least theta.
     """
-    index = build_index(units)
-    by_class: dict[str, list[BenchQuery]] = {}
+    if any(not theta >= 0 for theta in theta_grid):  # NaN fails this too
+        raise ValueError("theta must be >= 0")
+    best_by_class: dict[str, list[float]] = {}
     for bench in queries:
-        by_class.setdefault(bench.query_class, []).append(bench)
+        hits = query(index, bench.query, k=1, theta=0.0)
+        best_by_class.setdefault(bench.query_class, []).append(hits[0].score if hits else -math.inf)
     rows: list[dict] = []
     for theta in theta_grid:
         row: dict = {"theta": theta}
-        for cls in sorted(by_class):
-            members = by_class[cls]
-            hits = sum(1 for bench in members if query(index, bench.query, k=EVAL_K, theta=theta))
-            row[cls] = hits / len(members)
+        for cls, bests in sorted(best_by_class.items()):
+            row[cls] = sum(1 for best in bests if best >= theta) / len(bests)
         rows.append(row)
     return rows
 
@@ -256,8 +256,8 @@ def score_cases(cases: Sequence[TimeTravelCase], retriever: CommitRetriever) -> 
     return metrics
 
 
-class _CommitDocuments:
-    """Each commit's units, extracted and tokenized at most once.
+class CommitDocuments:
+    """The CD-v1/CD-v2 indexes, each commit's units extracted and tokenized once.
 
     The rule units are shared by CD-v1 and CD-v2; CD-v2 adds the subject
     fallback on rule-silent commits, as extract_commit_units does.
@@ -267,30 +267,31 @@ class _CommitDocuments:
         self._rule_docs: dict[str, list[IndexedDocument]] = {}
         self._fallback_docs: dict[str, list[IndexedDocument]] = {}
 
-    def of(self, commit: Commit, fallback_enabled: bool) -> list[IndexedDocument]:
-        docs = self._rule_docs.get(commit.sha)
-        if docs is None:
+    def _of(self, commit: Commit, fallback_enabled: bool) -> list[IndexedDocument]:
+        if commit.sha not in self._rule_docs:
             units = extract_commit_units(commit, fallback_enabled=False)
-            docs = self._rule_docs[commit.sha] = [tokenize_unit(unit) for unit in units]
+            self._rule_docs[commit.sha] = [tokenize_unit(unit) for unit in units]
+        docs = self._rule_docs[commit.sha]
         if docs or not fallback_enabled:
             return docs
-        fallback = self._fallback_docs.get(commit.sha)
-        if fallback is None:
+        if commit.sha not in self._fallback_docs:
             unit = subject_fallback_unit(commit)
-            fallback = [] if unit is None else [tokenize_unit(unit)]
-            self._fallback_docs[commit.sha] = fallback
-        return fallback
+            self._fallback_docs[commit.sha] = [] if unit is None else [tokenize_unit(unit)]
+        return self._fallback_docs[commit.sha]
+
+    def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
+        """The same index as ``build_index(extract_commits(commits, fallback_enabled))``."""
+        by_id: dict[str, IndexedDocument] = {}
+        for commit in commits:
+            for doc in self._of(commit, fallback_enabled):
+                by_id.setdefault(doc.unit.id, doc)
+        return index_documents([by_id[uid] for uid in sorted(by_id)])
 
 
-def _cd_run(documents: _CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
+def _cd_run(documents: CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
     def run(window: list[Commit], query_text: str) -> list[str]:
         short_to_full = {commit.short_sha: commit.sha for commit in window}
-        # A unit id found in several commits belongs to the first in window order.
-        by_id: dict[str, IndexedDocument] = {}
-        for commit in window:
-            for doc in documents.of(commit, fallback_enabled):
-                by_id.setdefault(doc.unit.id, doc)
-        index = index_documents([by_id[uid] for uid in sorted(by_id)])
+        index = documents.index(window, fallback_enabled)
         hits = query(index, query_text, k=max(50, EVAL_K), theta=theta)
         shas: list[str] = []
         for hit in hits:
@@ -312,7 +313,7 @@ def cd_retriever(fallback_enabled: bool = True, theta: float = DEFAULT_THETA) ->
 def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
     """CD-v1 (rules only) and CD-v2 (with the subject fallback), extracting
     and tokenizing each window commit once for both."""
-    documents = _CommitDocuments()
+    documents = CommitDocuments()
     return {
         "cd_v1": _cd_run(documents, False, theta),
         "cd_v2": _cd_run(documents, True, theta),
@@ -381,11 +382,30 @@ def bootstrap_ci(
     return values[lo_index], values[hi_index]
 
 
-def load_benchmark(path: Path | str) -> list[BenchQuery]:
-    """JSON array of {query, answer_span, query_class, subject_repo} objects."""
+def _json_entries(
+    path: Path | str, kind: str, required: tuple[str, ...], optional: tuple[str, ...] = ()
+) -> list[dict]:
+    """The objects of a JSON array file, each with string ``required`` fields
+    and, where present, string ``optional`` ones; anything else raises a
+    ValueError naming the file and the entry's position."""
     payload = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(payload, list):
-        raise ValueError(f"benchmark file {path} must hold a JSON array")
+        raise ValueError(f"{kind} file {path} must hold a JSON array")
+    for position, entry in enumerate(payload):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{kind} file {path} entry {position} is not a JSON object")
+        missing = [name for name in required if name not in entry]
+        if missing:
+            raise ValueError(f"{kind} file {path} entry {position} lacks {', '.join(missing)}")
+        for name in (*required, *optional):
+            if name in entry and not isinstance(entry[name], str):
+                raise ValueError(f"{kind} file {path} entry {position} has a non-string {name}")
+    return payload
+
+
+def load_benchmark(path: Path | str) -> list[BenchQuery]:
+    """JSON array of {query, answer_span, query_class, subject_repo} objects."""
+    payload = _json_entries(path, "benchmark", ("query", "query_class"), ("answer_span", "subject_repo"))
     return [
         BenchQuery(
             query=entry["query"],
@@ -414,6 +434,11 @@ def load_labels(path: Path | str) -> list[LabelRecord]:
             )
             for row in reader
         ]
+
+
+def load_manifest(path: Path | str) -> list[dict]:
+    """JSON array of {name, path, sha} pinned-snapshot objects."""
+    return _json_entries(path, "manifest", ("path", "sha"))
 
 
 def verify_manifest(manifest: Sequence[dict]) -> list[dict]:

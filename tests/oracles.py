@@ -4,7 +4,8 @@ These deliberately re-derive every quantity from scratch (document stats,
 idf, normalization) instead of touching the production index structures.
 The time-travel oracles are the straightforward versions of the case
 builder and the distilled-store retriever that the shared, cached ones in
-``commitdistill.evaluation`` must reproduce exactly. The ``eval`` payload
+``commitdistill.evaluation`` must reproduce exactly; ``threshold_sweep_oracle``
+scores every query once per theta. The ``eval`` payload
 oracles compose the library calls one command at a time, each building its
 own commits, units and indexes, so that the files the CLI writes can be
 compared byte for byte.
@@ -293,16 +294,35 @@ def budget_payload_oracle(
     return payload
 
 
+def threshold_sweep_oracle(units, queries, theta_grid=ev.DEFAULT_THETA_GRID):
+    """Per-class answered share per theta, with one full scoring pass of
+    every query at each theta over a fresh index of ``units``."""
+    index = build_index(units)
+    by_class: dict[str, list] = {}
+    for bench in queries:
+        by_class.setdefault(bench.query_class, []).append(bench)
+    rows: list[dict] = []
+    for theta in theta_grid:
+        row: dict = {"theta": theta}
+        for cls in sorted(by_class):
+            members = by_class[cls]
+            hits = sum(1 for bench in members if query(index, bench.query, k=EVAL_K, theta=theta))
+            row[cls] = hits / len(members)
+        rows.append(row)
+    return rows
+
+
 def sweep_payload_oracle(
     repo_path, benchmark, max_commits: int = 5000, thetas=ev.DEFAULT_THETA_GRID
 ):
-    """The ``eval sweep`` result payload."""
+    """The ``eval sweep`` result payload, extracting the commits once per
+    fallback mode."""
     queries = ev.load_benchmark(benchmark)
     commits = gitio.list_commits(repo_path, max_commits)
     v1_units = extract_commits(commits, fallback_enabled=False)
     v2_units = extract_commits(commits, fallback_enabled=True)
     return {
-        "cd_v1": ev.threshold_sweep(v1_units, queries, thetas),
-        "cd_v2": ev.threshold_sweep(v2_units, queries, thetas),
+        "cd_v1": threshold_sweep_oracle(v1_units, queries, thetas),
+        "cd_v2": threshold_sweep_oracle(v2_units, queries, thetas),
         "n_queries": len(queries),
     }

@@ -188,8 +188,8 @@ def test_criterion_04_abstention_calibration(calibration_repo):
     queries = ev.load_benchmark(DATA_DIR / "benchmark_classes.json")
     grid = ev.DEFAULT_THETA_GRID
 
-    v1_rows = ev.threshold_sweep(v1_units, queries, grid)
-    v2_rows = ev.threshold_sweep(v2_units, queries, grid)
+    v1_rows = ev.threshold_sweep(retrieval.build_index(v1_units), queries, grid)
+    v2_rows = ev.threshold_sweep(retrieval.build_index(v2_units), queries, grid)
 
     for rows in (v1_rows, v2_rows):
         for cls in ("ANSWERABLE", "NOT_IN_CORPUS", "OOD"):

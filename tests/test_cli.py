@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from commitdistill import cli, store
+from commitdistill import cli, extraction, gitio, store
 
 from oracles import (
     baseline_payload_oracle,
@@ -257,6 +257,22 @@ class TestEvalCommands:
         assert v2[2.5]["NOT_IN_CORPUS"] > v1[2.5]["NOT_IN_CORPUS"]
         assert v2[2.5]["OOD"] == 0.0
 
+    def test_sweep_extracts_each_commit_once(self, extracted_repo, tmp_path, monkeypatch):
+        repo, _ = extracted_repo
+        extracted = []
+        real_extract_units = extraction.extract_units
+
+        def counting_extract_units(text, meta, *args, **kwargs):
+            extracted.append(meta["commit"])
+            return real_extract_units(text, meta, *args, **kwargs)
+
+        monkeypatch.setattr(extraction, "extract_units", counting_extract_units)
+        assert run_cli(
+            "eval", "sweep", "--repo", str(repo), "--benchmark", str(DATA / "benchmark_classes.json"),
+            "--out", str(tmp_path / "evalout"),
+        ) == 0
+        assert sorted(extracted) == sorted(c.short_sha for c in gitio.list_commits(repo, 5000))
+
     def test_baseline_results(self, extracted_repo, tmp_path):
         repo, _ = extracted_repo
         out_dir = tmp_path / "evalout"
@@ -367,8 +383,6 @@ class TestEvalCommands:
 
     def test_manifest_gate(self, extracted_repo, tmp_path):
         repo, _ = extracted_repo
-        from commitdistill import gitio
-
         good = [{"name": "fixture", "path": str(repo), "sha": gitio.head_sha(repo)}]
         bad = [{"name": "fixture", "path": str(repo), "sha": "f" * 40}]
         good_path = tmp_path / "good.json"
@@ -385,6 +399,40 @@ class TestEvalCommands:
             "--benchmark", str(DATA / "benchmark_budget.json"),
             "--out", str(tmp_path / "o2"), "--manifest", str(bad_path),
         ) == 2
+
+
+class TestInputFileErrors:
+    @pytest.mark.parametrize(
+        "option, content, problem",
+        [
+            ("--benchmark", [{"query_class": "OOD"}], "entry 0 lacks query"),
+            ("--benchmark", [1], "entry 0 is not a JSON object"),
+            ("--benchmark", [{"query": "q", "query_class": "OOD"}, {"query": 7, "query_class": "OOD"}],
+             "entry 1 has a non-string query"),
+            ("--benchmark", [{"query": "q", "query_class": ["OOD"]}], "entry 0 has a non-string query_class"),
+            ("--benchmark", [{"query": "q", "query_class": "ANSWERABLE", "answer_span": 3}],
+             "entry 0 has a non-string answer_span"),
+            ("--benchmark", [{"query": "q", "query_class": "OOD", "subject_repo": None}],
+             "entry 0 has a non-string subject_repo"),
+            ("--benchmark", {"query": "q", "query_class": "OOD"}, "must hold a JSON array"),
+            ("--manifest", [{"name": "fixture", "sha": "abc"}], "entry 0 lacks path"),
+            ("--manifest", [{"path": ".", "sha": 1234}], "entry 0 has a non-string sha"),
+            ("--manifest", [["fixture", ".", "abc"]], "entry 0 is not a JSON object"),
+            ("--manifest", {"path": ".", "sha": "abc"}, "must hold a JSON array"),
+        ],
+    )
+    def test_bad_file_is_a_one_line_error(self, calibration_repo, tmp_path, capsys, option, content, problem):
+        repo, _ = calibration_repo
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content), encoding="utf-8")
+        assert run_cli(  # a repeated --benchmark overrides the good one
+            "eval", "baseline", "--repo", str(repo), "--out", str(tmp_path / "out"),
+            "--benchmark", str(DATA / "benchmark_classes.json"), option, str(bad),
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert str(bad) in err
+        assert problem in err
 
 
 class TestExitCodes:
@@ -409,6 +457,13 @@ class TestExitCodes:
             ["eval", "timetravel", "--repo", "r", "--window", "0"],
             ["extract", "--repo", "r", "--max-commits", "0"],
             ["eval", "kappa", "--labels", "l", "--resamples", "0"],
+            ["eval", "budget", "--repo", "r", "--benchmark", "b", "--budgets", "0"],
+            ["eval", "budget", "--repo", "r", "--benchmark", "b", "--budgets", "-5"],
+            ["eval", "budget", "--repo", "r", "--benchmark", "b", "--budgets", ","],
+            ["eval", "budget", "--repo", "r", "--benchmark", "b", "--budgets", "64,64"],
+            ["eval", "sweep", "--repo", "r", "--benchmark", "b", "--thetas", "-1"],
+            ["eval", "sweep", "--repo", "r", "--benchmark", "b", "--thetas", "nan"],
+            ["eval", "sweep", "--repo", "r", "--benchmark", "b", "--thetas", "2.5,2.50"],
         ],
     )
     def test_out_of_range_values_are_usage_errors(self, argv, capsys):

@@ -1,20 +1,27 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
+from commitdistill.extraction import extract_commits
+from commitdistill.retrieval import build_index, query
 
 from oracles import (
     bm25_retriever_oracle,
     cd_retriever_oracle,
     metrics_oracle,
+    threshold_sweep_oracle,
     time_travel_cases_oracle,
 )
 from test_store import make_unit
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBudgetPack:
@@ -115,18 +122,47 @@ class TestThresholdSweep:
         ]
 
     def test_permissive_floor_and_zero_overlap_silence(self):
-        rows = ev.threshold_sweep(self._units(), self._queries(), theta_grid=(0.0, 5.0))
+        rows = ev.threshold_sweep(build_index(self._units()), self._queries(), theta_grid=(0.0, 5.0))
         assert rows[0]["ANSWERABLE"] == 1.0
         assert rows[0]["OOD"] == 0.0
         assert rows[1]["ANSWERABLE"] == 0.0
 
     def test_rates_monotone_in_theta(self):
         rows = ev.threshold_sweep(
-            self._units(), self._queries(), theta_grid=(0.0, 0.5, 1.0, 2.0, 3.0)
+            build_index(self._units()), self._queries(), theta_grid=(0.0, 0.5, 1.0, 2.0, 3.0)
         )
         for cls in ("ANSWERABLE", "NOT_IN_CORPUS", "OOD"):
             series = [row[cls] for row in rows]
             assert series == sorted(series, reverse=True)
+
+    @pytest.mark.parametrize("grid_size", [1, 7, 50])
+    def test_each_query_is_scored_once(self, monkeypatch, grid_size):
+        calls = []
+
+        def counting_query(*args, **kwargs):
+            calls.append(args[1])
+            return query(*args, **kwargs)
+
+        monkeypatch.setattr(ev, "query", counting_query)
+        grid = [step * 0.1 for step in range(grid_size)]
+        ev.threshold_sweep(build_index(self._units()), self._queries(), grid)
+        assert sorted(calls) == sorted(bench.query for bench in self._queries())
+
+    @pytest.mark.parametrize("theta", [-0.5, float("nan")])
+    def test_negative_or_nan_theta_raises(self, theta):
+        with pytest.raises(ValueError, match="theta must be >= 0"):
+            ev.threshold_sweep(build_index(self._units()), self._queries(), (0.0, theta))
+
+    @pytest.mark.parametrize("fallback_enabled", [False, True])
+    def test_theta_at_and_just_above_each_best_score(self, calibration_repo, fallback_enabled):
+        repo, _ = calibration_repo
+        units = extract_commits(gitio.list_commits(repo, 5000), fallback_enabled)
+        queries = ev.load_benchmark(DATA / "benchmark_classes.json")
+        index = build_index(units)
+        bests = [hits[0].score for q in queries if (hits := query(index, q.query, k=1, theta=0.0))]
+        assert len(bests) > 1
+        grid = sorted({0.0, *bests, *(math.nextafter(best, math.inf) for best in bests)})
+        assert ev.threshold_sweep(index, queries, grid) == threshold_sweep_oracle(units, queries, grid)
 
 
 class TestRankMetrics:
