@@ -19,13 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import gitio
-from .baselines import (
-    Bm25Document,
-    bm25_query,
-    grep_search,
-    index_bm25_documents,
-    tokenize_commit,
-)
+from .baselines import Bm25Document, bm25_query, grep_search, tokenize_commit
 from .extraction import extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
@@ -328,7 +322,7 @@ def bm25_retriever() -> CommitRetriever:
         for commit in window:
             if commit.sha not in documents:
                 documents[commit.sha] = tokenize_commit(commit)
-        index = index_bm25_documents([documents[commit.sha] for commit in window])
+        index = index_documents([documents[commit.sha] for commit in window])
         return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
 
     return run
@@ -388,7 +382,10 @@ def _json_entries(
     """The objects of a JSON array file, each with string ``required`` fields
     and, where present, string ``optional`` ones; anything else raises a
     ValueError naming the file and the entry's position."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValueError(f"{kind} file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, list):
         raise ValueError(f"{kind} file {path} must hold a JSON array")
     for position, entry in enumerate(payload):
@@ -406,15 +403,20 @@ def _json_entries(
 def load_benchmark(path: Path | str) -> list[BenchQuery]:
     """JSON array of {query, answer_span, query_class, subject_repo} objects."""
     payload = _json_entries(path, "benchmark", ("query", "query_class"), ("answer_span", "subject_repo"))
-    return [
-        BenchQuery(
-            query=entry["query"],
-            answer_span=entry.get("answer_span", ""),
-            query_class=entry["query_class"],
-            subject_repo=entry.get("subject_repo", ""),
-        )
-        for entry in payload
-    ]
+    queries: list[BenchQuery] = []
+    for position, entry in enumerate(payload):
+        try:
+            queries.append(
+                BenchQuery(
+                    query=entry["query"],
+                    answer_span=entry.get("answer_span", ""),
+                    query_class=entry["query_class"],
+                    subject_repo=entry.get("subject_repo", ""),
+                )
+            )
+        except ValueError as exc:
+            raise ValueError(f"benchmark file {path} entry {position}: {exc}") from None
+    return queries
 
 
 def load_labels(path: Path | str) -> list[LabelRecord]:

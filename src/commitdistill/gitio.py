@@ -10,7 +10,6 @@ from __future__ import annotations
 import re
 import subprocess
 from dataclasses import dataclass
-from datetime import datetime
 from pathlib import Path
 
 FIELD_SEP = "\x1f"
@@ -64,9 +63,6 @@ class Commit:
     @property
     def message(self) -> str:
         return f"{self.subject}\n{self.body}" if self.body else self.subject
-
-    def author_datetime(self) -> datetime:
-        return _as_datetime(self.author_date)
 
 
 def _run_git(args: list[str], repo_path: Path | str) -> str:
@@ -154,13 +150,6 @@ def _read_log(path: Path, max_count: int | None, with_files: bool) -> list[Commi
     if max_count is not None:
         args += ["-n", str(max_count)]
     return _parse_log(_run_git(args, path), with_files)
-
-
-def _as_datetime(value: str) -> datetime:
-    # git 2.45+ prints UTC as "Z", which fromisoformat accepts only from 3.11
-    if value.endswith("Z"):
-        value = value[:-1] + "+00:00"
-    return datetime.fromisoformat(value)
 
 
 def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:

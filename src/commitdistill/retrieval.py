@@ -3,6 +3,7 @@
 Scoring: for each document sharing at least one term with the query,
 
     s = sum over shared terms of (1 + log tf_d) * (1 + log tf_q) * idf
+    idf = log(N / df), computed per query for the query's terms only
     s = s / sqrt(max(1, |d|))
     s = s * boost[type] * (0.5 + 0.5 * weight)
 
@@ -61,10 +62,14 @@ class IndexedDocument:
 
 @dataclass
 class RetrievalIndex:
-    """Immutable after build; safe to share across read-only queries."""
+    """Documents and, per term, the positions of the documents holding it.
 
-    documents: list[IndexedDocument]
-    idf: dict[str, float]
+    Immutable after build; safe to share across read-only queries. Any
+    document with ``tf`` and ``length`` fields can be indexed, so the same
+    shape serves the TF-IDF ranker and BM25.
+    """
+
+    documents: list
     postings: dict[str, list[int]]
 
 
@@ -101,27 +106,31 @@ def tokenize_unit(unit: KnowledgeUnit) -> IndexedDocument:
     return IndexedDocument(unit, tf, sum(tf.values()))
 
 
-def index_documents(documents: list[IndexedDocument]) -> RetrievalIndex:
-    """The corpus half of an index build: df, postings and idf = log(N / df).
-
-    A single-document corpus gets add-one smoothing (log((N+1)/df)) so the
-    degenerate corpus stays retrievable.
-    """
-    n = len(documents)
-    df: Counter = Counter()
+def index_documents(documents: list) -> RetrievalIndex:
+    """The corpus half of an index build: postings; df is a postings length."""
     postings: dict[str, list[int]] = defaultdict(list)
     for idx, doc in enumerate(documents):
         for term in doc.tf:
-            df[term] += 1
             postings[term].append(idx)
-    numerator = n + 1 if n == 1 else n
-    idf = {term: math.log(numerator / count) for term, count in df.items()}
-    return RetrievalIndex(documents, idf, dict(postings))
+    return RetrievalIndex(documents, dict(postings))
 
 
 def build_index(units) -> RetrievalIndex:
-    """TF, IDF, and doc lengths over unit contents (see index_documents)."""
+    """Term counts, doc lengths and postings over unit contents."""
     return index_documents([tokenize_unit(unit) for unit in units])
+
+
+def lookup(index: RetrievalIndex, terms) -> tuple[dict[str, int], set[int]]:
+    """df of each of ``terms`` the corpus holds, and the positions of the
+    documents holding at least one of them."""
+    df: dict[str, int] = {}
+    candidates: set[int] = set()
+    for term in terms:
+        positions = index.postings.get(term)
+        if positions:
+            df[term] = len(positions)
+            candidates.update(positions)
+    return df, candidates
 
 
 def query(
@@ -139,9 +148,12 @@ def query(
     query_tf = tokenize(q)
     if not query_tf:
         return []
-    candidates: set[int] = set()
-    for term in query_tf:
-        candidates.update(index.postings.get(term, ()))
+    df, candidates = lookup(index, query_tf)
+    # A single-document corpus gets add-one smoothing (log((N+1)/df)) so the
+    # degenerate corpus stays retrievable.
+    n = len(index.documents)
+    numerator = n + 1 if n == 1 else n
+    idf = {term: math.log(numerator / count) for term, count in df.items()}
     hits: list[RankedHit] = []
     for doc_index in candidates:
         doc = index.documents[doc_index]
@@ -152,7 +164,7 @@ def query(
                 score += (
                     (1.0 + math.log(doc_freq))
                     * (1.0 + math.log(query_freq))
-                    * index.idf[term]
+                    * idf[term]
                 )
         score /= math.sqrt(max(1, doc.length))
         score *= boosts.for_type(doc.unit.unit_type) * (0.5 + 0.5 * doc.unit.weight)

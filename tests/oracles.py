@@ -2,6 +2,10 @@
 
 These deliberately re-derive every quantity from scratch (document stats,
 idf, normalization) instead of touching the production index structures.
+``build_index_oracle``/``query_oracle`` and ``build_bm25_index_oracle``/
+``bm25_query_oracle`` are the earlier indexes, which tabulate df and idf
+over the whole vocabulary at build time (BM25 then scans every document);
+the postings-only index must reproduce their scores bit for bit.
 The time-travel oracles are the straightforward versions of the case
 builder and the distilled-store retriever that the shared, cached ones in
 ``commitdistill.evaluation`` must reproduce exactly; ``threshold_sweep_oracle``
@@ -14,20 +18,136 @@ from __future__ import annotations
 
 import math
 import subprocess
+from collections import Counter, defaultdict
+from dataclasses import dataclass
+from datetime import datetime
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.baselines import bm25_query, build_bm25_index, grep_search
+from commitdistill.baselines import grep_search, tokenize_commit
 from commitdistill.extraction import extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
+    DEFAULT_K,
     DEFAULT_THETA,
     EVAL_K,
     BoostTable,
-    build_index,
-    query,
+    RankedHit,
     tokenize,
+    tokenize_unit,
 )
+
+
+def as_datetime(value: str) -> datetime:
+    """An ISO-8601 author date as git prints it, with offset."""
+    # git 2.45+ prints UTC as "Z", which fromisoformat accepts only from 3.11
+    if value.endswith("Z"):
+        value = value[:-1] + "+00:00"
+    return datetime.fromisoformat(value)
+
+
+def author_datetime(commit) -> datetime:
+    return as_datetime(commit.author_date)
+
+
+@dataclass
+class IdfIndexOracle:
+    documents: list
+    idf: dict[str, float]
+    postings: dict[str, list[int]]
+
+
+def build_index_oracle(units) -> IdfIndexOracle:
+    """The TF-IDF index with df, postings and idf = log(N / df) tabulated
+    for the whole vocabulary (add-one smoothed for a single document)."""
+    documents = [tokenize_unit(unit) for unit in units]
+    n = len(documents)
+    df: Counter = Counter()
+    postings: dict[str, list[int]] = defaultdict(list)
+    for idx, doc in enumerate(documents):
+        for term in doc.tf:
+            df[term] += 1
+            postings[term].append(idx)
+    numerator = n + 1 if n == 1 else n
+    idf = {term: math.log(numerator / count) for term, count in df.items()}
+    return IdfIndexOracle(documents, idf, dict(postings))
+
+
+def query_oracle(
+    index: IdfIndexOracle,
+    q: str,
+    k: int = DEFAULT_K,
+    theta: float = DEFAULT_THETA,
+    boosts: BoostTable = DEFAULT_BOOSTS,
+) -> list[RankedHit]:
+    """``retrieval.query`` over the tabulated idf."""
+    query_tf = tokenize(q)
+    if not query_tf:
+        return []
+    candidates: set[int] = set()
+    for term in query_tf:
+        candidates.update(index.postings.get(term, ()))
+    hits: list[RankedHit] = []
+    for doc_index in candidates:
+        doc = index.documents[doc_index]
+        score = 0.0
+        for term, query_freq in query_tf.items():
+            doc_freq = doc.tf.get(term)
+            if doc_freq:
+                score += (
+                    (1.0 + math.log(doc_freq))
+                    * (1.0 + math.log(query_freq))
+                    * index.idf[term]
+                )
+        score /= math.sqrt(max(1, doc.length))
+        score *= boosts.for_type(doc.unit.unit_type) * (0.5 + 0.5 * doc.unit.weight)
+        if score >= theta:
+            hits.append(RankedHit(doc.unit, score))
+    hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
+    return hits[:k]
+
+
+@dataclass
+class Bm25IndexOracle:
+    documents: list
+    idf: dict[str, float]
+    avgdl: float
+
+
+def build_bm25_index_oracle(commits) -> Bm25IndexOracle:
+    """The BM25 index with df and the +0.5-smoothed idf tabulated for the
+    whole vocabulary, and avgdl."""
+    documents = [tokenize_commit(commit) for commit in commits]
+    n = len(documents)
+    df: Counter = Counter()
+    for doc in documents:
+        for term in doc.tf:
+            df[term] += 1
+    idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
+    avgdl = (sum(doc.length for doc in documents) / n) if n else 0.0
+    return Bm25IndexOracle(documents, idf, avgdl)
+
+
+def bm25_query_oracle(
+    index: Bm25IndexOracle, query_text: str, k: int = 10, k1: float = 1.5, b: float = 0.75
+):
+    """``baselines.bm25_query`` as a scan of every document."""
+    query_terms = tokenize(query_text)
+    if not query_terms:
+        return []
+    scored = []
+    for doc in index.documents:
+        shared = [term for term in query_terms if term in doc.tf]
+        if not shared:
+            continue
+        norm = k1 * (1.0 - b + b * doc.length / index.avgdl)
+        score = 0.0
+        for term in shared:
+            freq = doc.tf[term]
+            score += index.idf[term] * freq * (k1 + 1.0) / (freq + norm)
+        scored.append((doc.commit, score))
+    scored.sort(key=lambda item: (-item[1], item[0].sha))
+    return scored[:k]
 
 
 def tfidf_oracle(units, query_text: str, k: int, theta: float, boosts: BoostTable):
@@ -151,9 +271,9 @@ def time_travel_cases_oracle(repo_path, n_fixes: int, window_size: int):
             break
         if not ev.BUG_FIX_RE.search(fix.subject):
             continue
-        cutoff = fix.author_datetime()
+        cutoff = author_datetime(fix)
         window = [
-            c for c in commits if c.sha != fix.sha and c.author_datetime() < cutoff
+            c for c in commits if c.sha != fix.sha and author_datetime(c) < cutoff
         ][:window_size]
         truth = {
             c.sha
@@ -181,8 +301,8 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
                 unit_cache[commit.sha] = extract_commit_units(commit, fallback_enabled)
             for unit in unit_cache[commit.sha]:
                 by_id.setdefault(unit.id, unit)
-        index = build_index([by_id[uid] for uid in sorted(by_id)])
-        hits = query(index, query_text, k=max(50, EVAL_K), theta=theta, boosts=DEFAULT_BOOSTS)
+        index = build_index_oracle([by_id[uid] for uid in sorted(by_id)])
+        hits = query_oracle(index, query_text, k=max(50, EVAL_K), theta=theta, boosts=DEFAULT_BOOSTS)
         shas: list[str] = []
         for hit in hits:
             full = short_to_full.get(hit.unit.meta.get("commit", ""))
@@ -198,8 +318,8 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
 def bm25_retriever_oracle():
     """BM25 retriever that indexes every window from scratch."""
     def run(window, query_text: str) -> list[str]:
-        index = build_bm25_index(window)
-        return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
+        index = build_bm25_index_oracle(window)
+        return [commit.sha for commit, _ in bm25_query_oracle(index, query_text, k=EVAL_K)]
 
     return run
 
@@ -234,14 +354,14 @@ def baseline_payload_oracle(
     queries = ev.load_benchmark(benchmark)
     commits = gitio.list_commits(repo_path, max_commits)
     units = extract_commits(commits, fallback_enabled=fallback_enabled)
-    index = build_index(units)
-    bm25_index = build_bm25_index(commits)
+    index = build_index_oracle(units)
+    bm25_index = build_bm25_index_oracle(commits)
     rows = []
     answered = {"commitdistill": 0, "grep": 0, "bm25": 0}
     for bench in queries:
-        cd_hits = query(index, bench.query, k=k, theta=theta)
+        cd_hits = query_oracle(index, bench.query, k=k, theta=theta)
         grep_hits = grep_search(commits, bench.query, k=k)
-        bm25_hits = bm25_query(bm25_index, bench.query, k=k)
+        bm25_hits = bm25_query_oracle(bm25_index, bench.query, k=k)
         answered["commitdistill"] += bool(cd_hits)
         answered["grep"] += bool(grep_hits)
         answered["bm25"] += bool(bm25_hits)
@@ -268,14 +388,14 @@ def budget_payload_oracle(
     queries = [q for q in ev.load_benchmark(benchmark) if q.answer_span]
     commits = gitio.list_commits(repo_path, max_commits)
     units = extract_commits(commits, fallback_enabled=fallback_enabled)
-    index = build_index(units)
-    bm25_index = build_bm25_index(commits)
+    index = build_index_oracle(units)
+    bm25_index = build_bm25_index_oracle(commits)
     retrievers = {
         "commitdistill": lambda text: [
-            hit.unit.content for hit in query(index, text, k=EVAL_K, theta=theta)
+            hit.unit.content for hit in query_oracle(index, text, k=EVAL_K, theta=theta)
         ],
         "grep": lambda text: [c.message for c, _ in grep_search(commits, text, k=EVAL_K)],
-        "bm25": lambda text: [c.message for c, _ in bm25_query(bm25_index, text, k=EVAL_K)],
+        "bm25": lambda text: [c.message for c, _ in bm25_query_oracle(bm25_index, text, k=EVAL_K)],
     }
     results = ev.budget_sweep(queries, retrievers, budgets)
     payload: dict = {"n_queries": len(queries), "budgets": list(budgets), "retrievers": {}}
@@ -297,7 +417,7 @@ def budget_payload_oracle(
 def threshold_sweep_oracle(units, queries, theta_grid=ev.DEFAULT_THETA_GRID):
     """Per-class answered share per theta, with one full scoring pass of
     every query at each theta over a fresh index of ``units``."""
-    index = build_index(units)
+    index = build_index_oracle(units)
     by_class: dict[str, list] = {}
     for bench in queries:
         by_class.setdefault(bench.query_class, []).append(bench)
@@ -306,7 +426,7 @@ def threshold_sweep_oracle(units, queries, theta_grid=ev.DEFAULT_THETA_GRID):
         row: dict = {"theta": theta}
         for cls in sorted(by_class):
             members = by_class[cls]
-            hits = sum(1 for bench in members if query(index, bench.query, k=EVAL_K, theta=theta))
+            hits = sum(1 for bench in members if query_oracle(index, bench.query, k=EVAL_K, theta=theta))
             row[cls] = hits / len(members)
         rows.append(row)
     return rows

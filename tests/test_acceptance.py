@@ -18,7 +18,7 @@ from commitdistill import baselines, evaluation as ev, extraction, gitio, retrie
 from commitdistill.retrieval import BoostTable
 
 from conftest import build_fast_repo
-from oracles import bm25_oracle, metrics_oracle, tfidf_oracle
+from oracles import author_datetime, bm25_oracle, metrics_oracle, tfidf_oracle
 from test_baselines import make_commit
 from test_store import make_unit
 
@@ -245,8 +245,8 @@ def test_criterion_06_time_travel_protocol(timetravel_repo):
 
     # audit: nothing at or after the fix's author date can reach a retriever
     for case in cases:
-        fix_date = case.fix.author_datetime()
-        assert all(c.author_datetime() < fix_date for c in case.window)
+        fix_date = author_datetime(case.fix)
+        assert all(author_datetime(c) < fix_date for c in case.window)
         assert case.fix.sha not in {c.sha for c in case.window}
         assert case.ground_truth <= {c.sha for c in case.window}
 

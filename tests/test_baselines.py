@@ -89,17 +89,6 @@ class TestBm25:
         results = baselines.bm25_query(index, "mirror", k=5)
         assert [c.sha for c, _ in results] == sorted(c.sha for c in window)
 
-    def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            baselines.build_bm25_index([make_commit(1, "x", "")], k1=0.0)
-        with pytest.raises(ValueError):
-            baselines.build_bm25_index([make_commit(1, "x", "")], b=1.5)
-
-    def test_default_parameters(self):
-        index = baselines.build_bm25_index([make_commit(1, "a subject", "")])
-        assert index.k1 == 1.5
-        assert index.b == 0.75
-
 
 _words = st.lists(
     st.sampled_from("alpha beta gamma delta epsilon zeta redirect loop cookie".split()),

@@ -419,12 +419,24 @@ class TestInputFileErrors:
             ("--manifest", [{"path": ".", "sha": 1234}], "entry 0 has a non-string sha"),
             ("--manifest", [["fixture", ".", "abc"]], "entry 0 is not a JSON object"),
             ("--manifest", {"path": ".", "sha": "abc"}, "must hold a JSON array"),
+            ("--benchmark", b'[{"query": "q",', "is not UTF-8 JSON: Expecting"),
+            ("--benchmark", b'[{"query": "\xff"}]', "is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff in position 12"),
+            ("--manifest", b"path,sha", "is not UTF-8 JSON: Expecting value: line 1 column 1"),
+            ("--manifest", b"\xfe\xff[]", "is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xfe in position 0"),
+            ("--benchmark", [{"query": "q", "query_class": "WEIRD"}], "entry 0: unknown query class: 'WEIRD'"),
+            ("--benchmark", [{"query": "q", "query_class": "OOD"}, {"query": "p", "query_class": "ANSWERABLE"}],
+             "entry 1: ANSWERABLE query 'p' needs an answer span"),
+            ("--benchmark", [{"query": "q", "query_class": "OOD", "answer_span": "x"}],
+             "entry 0: OOD query 'q' must not carry a span"),
         ],
     )
     def test_bad_file_is_a_one_line_error(self, calibration_repo, tmp_path, capsys, option, content, problem):
         repo, _ = calibration_repo
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(content), encoding="utf-8")
+        if isinstance(content, bytes):
+            bad.write_bytes(content)
+        else:
+            bad.write_text(json.dumps(content), encoding="utf-8")
         assert run_cli(  # a repeated --benchmark overrides the good one
             "eval", "baseline", "--repo", str(repo), "--out", str(tmp_path / "out"),
             "--benchmark", str(DATA / "benchmark_classes.json"), option, str(bad),

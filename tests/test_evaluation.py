@@ -13,6 +13,7 @@ from commitdistill.extraction import extract_commits
 from commitdistill.retrieval import build_index, query
 
 from oracles import (
+    author_datetime,
     bm25_retriever_oracle,
     cd_retriever_oracle,
     metrics_oracle,
@@ -211,8 +212,8 @@ class TestTimeTravel:
     def test_time_travel_discipline(self, timetravel_repo):
         repo, _ = timetravel_repo
         for case in ev.time_travel_cases(repo, n_fixes=3, window_size=100):
-            fix_date = case.fix.author_datetime()
-            assert all(c.author_datetime() < fix_date for c in case.window)
+            fix_date = author_datetime(case.fix)
+            assert all(author_datetime(c) < fix_date for c in case.window)
             assert case.fix.sha not in {c.sha for c in case.window}
             assert case.ground_truth <= {c.sha for c in case.window}
 

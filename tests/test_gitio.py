@@ -9,7 +9,7 @@ from commitdistill import gitio
 from commitdistill.gitio import CommitParseError, GitError
 
 from conftest import RepoBuilder, run_git
-from oracles import changed_files_oracle
+from oracles import as_datetime, author_datetime, changed_files_oracle
 
 
 def test_single_commit_matches_rev_parse_head(repo_builder: RepoBuilder):
@@ -149,14 +149,14 @@ def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBu
         assert read.changed_files == changed_files_oracle(repo_builder.path, read.sha)
         read.changed_files = None
         assert read == listed
-        assert read.author_epoch == int(read.author_datetime().timestamp())
+        assert read.author_epoch == int(author_datetime(read).timestamp())
     assert [c.changed_files for c in gitio.list_commits_with_files(repo_builder.path, 2)] == [
         {"side.txt"}, set()
     ]
 
 
 def test_utc_z_suffix_reads_as_utc():
-    assert gitio._as_datetime("2023-01-02T10:00:00Z") == gitio._as_datetime("2023-01-02T10:00:00+00:00")
+    assert as_datetime("2023-01-02T10:00:00Z") == as_datetime("2023-01-02T10:00:00+00:00")
 
 
 def test_head_sha(repo_builder: RepoBuilder):

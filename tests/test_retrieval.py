@@ -3,12 +3,19 @@ from __future__ import annotations
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from commitdistill import retrieval
+from commitdistill import baselines, retrieval
 from commitdistill.retrieval import BoostTable, build_index, query, tokenize
 
-from oracles import tfidf_oracle
+from oracles import (
+    bm25_query_oracle,
+    build_bm25_index_oracle,
+    build_index_oracle,
+    query_oracle,
+    tfidf_oracle,
+)
+from test_baselines import make_commit
 from test_store import make_unit
 
 
@@ -51,19 +58,36 @@ class TestBuildIndex:
         assert query(index, "anything at all", k=5, theta=0.0) == []
 
     def test_single_unit_document_frequencies(self):
-        index = build_index([make_unit("alpha beta alpha gamma")])
-        assert all(len(positions) == 1 for positions in index.postings.values())
+        index = build_index([make_unit("alpha beta alpha gamma", weight=1.0)])
+        assert {term: len(positions) for term, positions in index.postings.items()} == {
+            "alpha": 1, "beta": 1, "gamma": 1
+        }
         # degenerate one-document corpus gets add-one smoothed idf
-        assert index.idf["alpha"] == pytest.approx(math.log(2))
+        assert _one_term_idf(index, "alpha") == pytest.approx(math.log(2))
 
     def test_three_unit_idf_table(self):
-        units = [make_unit("alpha beta"), make_unit("alpha gamma"), make_unit("delta delta")]
+        units = [
+            make_unit("alpha beta", weight=1.0),
+            make_unit("alpha gamma", weight=1.0),
+            make_unit("delta delta", weight=1.0),
+        ]
         index = build_index(units)
-        assert index.idf["alpha"] == pytest.approx(math.log(3 / 2))
-        assert index.idf["beta"] == pytest.approx(math.log(3))
-        assert index.idf["gamma"] == pytest.approx(math.log(3))
-        assert index.idf["delta"] == pytest.approx(math.log(3))
+        assert {term: len(positions) for term, positions in index.postings.items()} == {
+            "alpha": 2, "beta": 1, "gamma": 1, "delta": 1
+        }
+        assert _one_term_idf(index, "alpha") == pytest.approx(math.log(3 / 2))
+        assert _one_term_idf(index, "beta") == pytest.approx(math.log(3))
+        assert _one_term_idf(index, "gamma") == pytest.approx(math.log(3))
+        assert _one_term_idf(index, "delta") == pytest.approx(math.log(3))
         assert index.documents[2].length == 2
+
+
+def _one_term_idf(index, term: str) -> float:
+    """idf of ``term`` read back from a one-term query: with neutral boosts
+    and weight 1 the best holder scores (1 + log tf) * idf / sqrt(|d|)."""
+    hit = query(index, term, k=1, theta=0.0, boosts=retrieval.NEUTRAL_BOOSTS)[0]
+    doc = next(d for d in index.documents if d.unit.id == hit.unit.id)
+    return hit.score * math.sqrt(max(1, doc.length)) / (1.0 + math.log(doc.tf[term]))
 
 
 class TestQuery:
@@ -182,3 +206,38 @@ def test_abstention_is_monotone_in_theta(units, query_text, theta_a, theta_b):
     low_ids = {h.unit.id for h in query(index, query_text, k=len(units), theta=low)}
     high_ids = {h.unit.id for h in query(index, query_text, k=len(units), theta=high)}
     assert high_ids <= low_ids
+
+
+# Small vocabularies so that terms are shared; "common" sits in most
+# documents (df > N/2 makes the BM25 idf negative), "absent" in none.
+_WORDS = ["alpha", "beta", "gamma", "redirectLoop", "snake_case", "http2"]
+_document_words = st.lists(st.sampled_from(_WORDS + ["common"] * 3), max_size=7)
+_query_words = st.lists(st.sampled_from(_WORDS + ["common", "absent", "missing_term"]), min_size=1, max_size=6)
+
+
+def _ranking(hits):
+    return [(hit.unit.id, hit.score) for hit in hits]
+
+
+@settings(max_examples=200)
+@given(st.lists(_document_words, max_size=6), _query_words, st.sampled_from(["fact", "skill", "pattern"]))
+@example([], ["alpha"], "fact")
+@example([["alpha", "beta"]], ["alpha", "absent"], "fact")
+@example([["alpha"], ["alpha", "beta"]], ["alpha", "alpha", "beta"], "skill")
+@example([["common"], ["common", "alpha"], ["common"], ["beta"]], ["common", "alpha"], "pattern")
+def test_postings_index_scores_equal_tabulated_idf(word_lists, query_words, unit_type):
+    """TF-IDF and BM25 over the postings-only index give the same rankings
+    and bit-identical scores as the indexes with whole-vocabulary idf tables."""
+    units = [
+        make_unit(f"{' '.join(words)} doc{i}", unit_type=unit_type, weight=(i % 4) / 4)
+        for i, words in enumerate(word_lists)
+    ]
+    commits = [make_commit(i, " ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
+    text = " ".join(query_words)
+    for theta in (0.0, 0.5):
+        got = query(build_index(units), text, k=10, theta=theta)
+        want = query_oracle(build_index_oracle(units), text, k=10, theta=theta)
+        assert _ranking(got) == _ranking(want)
+    got_bm25 = baselines.bm25_query(baselines.build_bm25_index(commits), text, k=10)
+    want_bm25 = bm25_query_oracle(build_bm25_index_oracle(commits), text, k=10)
+    assert [(c.sha, score) for c, score in got_bm25] == [(c.sha, score) for c, score in want_bm25]
