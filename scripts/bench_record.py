@@ -38,8 +38,8 @@ def _describe(checkout: Path) -> dict:
         sha = _git(checkout, "rev-parse", "HEAD")
         dirty = bool(_git(checkout, "status", "--porcelain", "--untracked-files=no"))
     except (subprocess.CalledProcessError, FileNotFoundError):
-        return {"path": str(checkout), "sha": None, "dirty": None}
-    return {"path": str(checkout), "sha": sha, "dirty": dirty}
+        return {"sha": None, "dirty": None}
+    return {"sha": sha, "dirty": dirty}
 
 
 def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:

@@ -220,16 +220,16 @@ def _ranking(hits):
 
 
 @settings(max_examples=200)
-@given(st.lists(_document_words, max_size=6), _query_words, st.sampled_from(["fact", "skill", "pattern"]))
-@example([], ["alpha"], "fact")
-@example([["alpha", "beta"]], ["alpha", "absent"], "fact")
-@example([["alpha"], ["alpha", "beta"]], ["alpha", "alpha", "beta"], "skill")
-@example([["common"], ["common", "alpha"], ["common"], ["beta"]], ["common", "alpha"], "pattern")
-def test_postings_index_scores_equal_tabulated_idf(word_lists, query_words, unit_type):
+@given(st.lists(_document_words, max_size=6), _query_words)
+@example([], ["alpha"])
+@example([["alpha", "beta"]], ["alpha", "absent"])
+@example([["alpha"], ["alpha", "beta"]], ["alpha", "alpha", "beta"])
+@example([["common"], ["common", "alpha"], ["common"], ["beta"]], ["common", "alpha"])
+def test_postings_index_scores_equal_tabulated_idf(word_lists, query_words):
     """TF-IDF and BM25 over the postings-only index give the same rankings
     and bit-identical scores as the indexes with whole-vocabulary idf tables."""
     units = [
-        make_unit(f"{' '.join(words)} doc{i}", unit_type=unit_type, weight=(i % 4) / 4)
+        make_unit(f"{' '.join(words)} doc{i}", unit_type=("fact", "skill", "pattern")[i % 3], weight=(i % 4) / 4)
         for i, words in enumerate(word_lists)
     ]
     commits = [make_commit(i, " ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
