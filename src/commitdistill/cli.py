@@ -7,6 +7,7 @@ Exit codes: 0 on success (a silent query is success), 1 on usage errors,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -21,14 +22,6 @@ class CliParser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         sys.stderr.write(f"{self.prog}: error: {message}\n")
         raise SystemExit(1)
-
-
-def _fallback_mode(value: str | None) -> bool:
-    if value == "on":
-        return True
-    if value == "off":
-        return False
-    return extraction.subject_fallback_enabled()
 
 
 def _positive_int(raw: str) -> int:
@@ -71,9 +64,8 @@ def _verify_manifest_arg(manifest_path: str | None) -> None:
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    fallback = _fallback_mode(args.fallback)
     commits = gitio.list_commits(args.repo, args.max_commits)
-    units = extraction.extract_commits(commits, fallback_enabled=fallback)
+    units = extraction.extract_commits(commits, fallback_enabled=args.fallback == "on")
     try:
         existing = store.load(args.repo)
         stored = True
@@ -121,7 +113,7 @@ def _commits_and_indexes(args: argparse.Namespace):
     and ``eval budget`` search, built once from ``--repo``, ``--max-commits``
     and ``--fallback``."""
     commits = gitio.list_commits(args.repo, args.max_commits)
-    index = evaluation.CommitDocuments().index(commits, _fallback_mode(args.fallback))
+    index = evaluation.CommitDocuments().index(commits, args.fallback == "on")
     return commits, index, baselines.build_bm25_index(commits)
 
 
@@ -276,7 +268,7 @@ def _add_fallback_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fallback",
         choices=("on", "off"),
-        default=None,
+        default="off" if os.environ.get("COMMITDISTILL_SUBJECT_FALLBACK") == "0" else "on",
         help="subject-fallback mode (default: on unless COMMITDISTILL_SUBJECT_FALLBACK=0)",
     )
 

@@ -7,6 +7,7 @@ over the distilled store and over the lexical baselines.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import random
@@ -36,6 +37,7 @@ QUERY_CLASSES = ("ANSWERABLE", "NOT_IN_CORPUS", "OOD", "FACT_STYLE")
 LABEL_CLASSES = ("useful", "trivially-true", "fragment", "noise")
 LABEL_FIELDS = ("unit_id", "annotator_a", "annotator_b", "adjudicated")
 
+_PIN_RE = re.compile(r"[0-9a-fA-F]{7,40}")
 BUG_FIX_RE = re.compile(r"\b(?:fix(?:es|ed)?|bug|regression|crash|fault)\b", re.IGNORECASE)
 
 DEFAULT_BUDGETS = (64, 128, 256, 512, 1024, 2048)
@@ -273,24 +275,35 @@ class CommitDocuments:
             self._fallback_docs[commit.sha] = [] if unit is None else [tokenize_unit(unit)]
         return self._fallback_docs[commit.sha]
 
-    def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
-        """The same index as ``build_index(extract_commits(commits, fallback_enabled))``."""
-        by_id: dict[str, IndexedDocument] = {}
+    def owners(
+        self, commits: Sequence[Commit], fallback_enabled: bool
+    ) -> dict[str, tuple[IndexedDocument, str]]:
+        """Per unit id, its document and the sha of the first of ``commits`` that yields it."""
+        owned: dict[str, tuple[IndexedDocument, str]] = {}
         for commit in commits:
             for doc in self._of(commit, fallback_enabled):
-                by_id.setdefault(doc.unit.id, doc)
-        return index_documents([by_id[uid] for uid in sorted(by_id)])
+                owned.setdefault(doc.unit.id, (doc, commit.sha))
+        return owned
+
+    def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
+        """The same index as ``build_index(extract_commits(commits, fallback_enabled))``."""
+        return _owned_index(self.owners(commits, fallback_enabled))
+
+
+def _owned_index(owned: dict[str, tuple[IndexedDocument, str]]) -> RetrievalIndex:
+    return index_documents([owned[uid][0] for uid in sorted(owned)])
 
 
 def _cd_run(documents: CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
     def run(window: list[Commit], query_text: str) -> list[str]:
-        short_to_full = {commit.short_sha: commit.sha for commit in window}
-        index = documents.index(window, fallback_enabled)
-        hits = query(index, query_text, k=max(50, EVAL_K), theta=theta)
+        # A hit resolves through the commit owning its unit, not through the
+        # unit's 8-digit short sha, which two window commits may share.
+        owned = documents.owners(window, fallback_enabled)
+        hits = query(_owned_index(owned), query_text, k=max(50, EVAL_K), theta=theta)
         shas: list[str] = []
         for hit in hits:
-            full = short_to_full.get(hit.unit.meta.get("commit", ""))
-            if full and full not in shas:
+            full = owned[hit.unit.id][1]
+            if full not in shas:
                 shas.append(full)
             if len(shas) == EVAL_K:
                 break
@@ -357,20 +370,17 @@ def bootstrap_ci(
     samples: Sequence[float],
     statistic: Callable[[Sequence[float]], float],
     resamples: int = 10000,
-    level: float = 0.95,
     seed: int = 42,
 ) -> tuple[float, float]:
-    """Percentile bootstrap interval over with-replacement resamples."""
+    """95 % percentile bootstrap interval over with-replacement resamples."""
     if not samples:
         raise ValueError("samples must be nonempty")
-    if not 0.0 < level < 1.0:
-        raise ValueError("level must be in (0, 1)")
     rng = random.Random(seed)
     n = len(samples)
     values = sorted(
         statistic([samples[rng.randrange(n)] for _ in range(n)]) for _ in range(resamples)
     )
-    alpha = (1.0 - level) / 2.0
+    alpha = (1.0 - 0.95) / 2.0
     lo_index = int(math.floor(alpha * resamples))
     hi_index = min(resamples - 1, int(math.ceil((1.0 - alpha) * resamples)) - 1)
     return values[lo_index], values[hi_index]
@@ -420,27 +430,43 @@ def load_benchmark(path: Path | str) -> list[BenchQuery]:
 
 
 def load_labels(path: Path | str) -> list[LabelRecord]:
-    """CSV with header unit_id,annotator_a,annotator_b,adjudicated."""
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        if reader.fieldnames is None or tuple(reader.fieldnames) != LABEL_FIELDS:
+    """CSV with header unit_id,annotator_a,annotator_b,adjudicated; a bad
+    file raises a ValueError naming the file and the line."""
+    raw = Path(path).read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"labels file {path} line {line} is not UTF-8: {exc}") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    header = next(reader, None)
+    if header is None or tuple(header) != LABEL_FIELDS:
+        raise ValueError(f"labels file {path} must carry the header {','.join(LABEL_FIELDS)}")
+    records: list[LabelRecord] = []
+    for row in reader:
+        if not row:
+            continue
+        if len(row) != len(LABEL_FIELDS):
             raise ValueError(
-                f"labels file {path} must carry the header {','.join(LABEL_FIELDS)}"
+                f"labels file {path} line {reader.line_num} has {len(row)} fields, not {len(LABEL_FIELDS)}"
             )
-        return [
-            LabelRecord(
-                unit_id=row["unit_id"],
-                annotator_a=row["annotator_a"],
-                annotator_b=row["annotator_b"],
-                adjudicated=row["adjudicated"],
-            )
-            for row in reader
-        ]
+        try:
+            records.append(LabelRecord(*row))
+        except ValueError as exc:
+            raise ValueError(f"labels file {path} line {reader.line_num}: {exc}") from None
+    return records
 
 
 def load_manifest(path: Path | str) -> list[dict]:
-    """JSON array of {name, path, sha} pinned-snapshot objects."""
-    return _json_entries(path, "manifest", ("path", "sha"))
+    """JSON array of {name, path, sha} pinned-snapshot objects; a sha is 7 to
+    40 hex digits, a prefix of the pinned commit's."""
+    payload = _json_entries(path, "manifest", ("path", "sha"))
+    for position, entry in enumerate(payload):
+        if not _PIN_RE.fullmatch(entry["sha"]):
+            raise ValueError(
+                f"manifest file {path} entry {position} pins sha {entry['sha']!r}, not 7 to 40 hex digits"
+            )
+    return payload
 
 
 def verify_manifest(manifest: Sequence[dict]) -> list[dict]:

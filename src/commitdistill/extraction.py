@@ -9,7 +9,6 @@ every rule stays silent.
 from __future__ import annotations
 
 import hashlib
-import os
 import re
 from dataclasses import dataclass
 
@@ -26,8 +25,8 @@ TITLE_CAP = 60
 UNIT_TYPES = ("fact", "skill", "pattern")
 
 _WS_RE = re.compile(r"\s+")
-_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
-_OPEN_FENCE_RE = re.compile(r"```.*\Z", re.DOTALL)
+# A fence runs to the next fence or, left open, to the end of the text.
+_FENCE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
 _INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^<>\n]*>")
 _HSPACE_RE = re.compile(r"[ \t\r\f\v]+")
@@ -218,7 +217,6 @@ def normalize(text: str) -> str:
     Line breaks survive as single newlines so subject-line rules can anchor.
     """
     text = _FENCE_RE.sub(" ", text)
-    text = _OPEN_FENCE_RE.sub(" ", text)
     text = _INLINE_CODE_RE.sub(" ", text)
     text = text.replace("`", " ")
     text = _HTML_TAG_RE.sub(" ", text)
@@ -421,8 +419,3 @@ def extract_repository(
 ) -> list[KnowledgeUnit]:
     commits = gitio.list_commits(repo_path, max_count)
     return extract_commits(commits, fallback_enabled)
-
-
-def subject_fallback_enabled(env=os.environ) -> bool:
-    """COMMITDISTILL_SUBJECT_FALLBACK=0 switches the fallback off."""
-    return env.get("COMMITDISTILL_SUBJECT_FALLBACK", "") != "0"

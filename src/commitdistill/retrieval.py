@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from .extraction import KnowledgeUnit
 
 _WORD_RE = re.compile(r"\w+")
+# camelCase, ALL_CAPS and digit pieces; no piece holds "_", so snake_case
+# splits at it too.
 _CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
 
 
@@ -73,14 +75,6 @@ class RetrievalIndex:
     postings: dict[str, list[int]]
 
 
-def split_identifier(token: str) -> list[str]:
-    """camelCase / snake_case / ALL_CAPS pieces, letter-digit splits included."""
-    parts: list[str] = []
-    for piece in token.split("_"):
-        parts.extend(_CAMEL_RE.findall(piece))
-    return parts
-
-
 def tokenize(text: str) -> Counter:
     """Lower-cased word tokens; identifiers also contribute their pieces.
 
@@ -90,7 +84,7 @@ def tokenize(text: str) -> Counter:
     counts: Counter = Counter()
     for raw in _WORD_RE.findall(text):
         lowered = raw.lower()
-        parts = split_identifier(raw)
+        parts = _CAMEL_RE.findall(raw)
         decomposed = len(parts) > 1 or (parts and parts[0].lower() != lowered)
         counts[lowered] += 1
         if decomposed:

@@ -12,11 +12,15 @@ builder and the distilled-store retriever that the shared, cached ones in
 scores every query once per theta. The ``eval`` payload
 oracles compose the library calls one command at a time, each building its
 own commits, units and indexes, so that the files the CLI writes can be
-compared byte for byte.
+compared byte for byte. ``tokenize_oracle`` (which splits identifiers at
+``_`` before the camel-case split) and ``normalize_oracle`` (a closed-fence
+pass, then an open-fence pass) are the earlier text passes that
+``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly.
 """
 from __future__ import annotations
 
 import math
+import re
 import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass
@@ -48,6 +52,43 @@ def as_datetime(value: str) -> datetime:
 
 def author_datetime(commit) -> datetime:
     return as_datetime(commit.author_date)
+
+
+_CAMEL_RE = re.compile(r"[A-Z]+(?=[A-Z][a-z])|[A-Z]?[a-z]+|[A-Z]+|\d+")
+_FENCE_RE = re.compile(r"```.*?```", re.DOTALL)
+_OPEN_FENCE_RE = re.compile(r"```.*\Z", re.DOTALL)
+
+
+def split_identifier(token: str) -> list[str]:
+    parts: list[str] = []
+    for piece in token.split("_"):
+        parts.extend(_CAMEL_RE.findall(piece))
+    return parts
+
+
+def tokenize_oracle(text: str) -> Counter:
+    counts: Counter = Counter()
+    for raw in re.findall(r"\w+", text):
+        lowered = raw.lower()
+        parts = split_identifier(raw)
+        decomposed = len(parts) > 1 or (parts and parts[0].lower() != lowered)
+        counts[lowered] += 1
+        if decomposed:
+            for part in parts:
+                if not part.isdigit():
+                    counts[part.lower()] += 1
+    return counts
+
+
+def normalize_oracle(text: str) -> str:
+    text = _FENCE_RE.sub(" ", text)
+    text = _OPEN_FENCE_RE.sub(" ", text)
+    text = re.sub(r"`[^`\n]*`", " ", text)
+    text = text.replace("`", " ")
+    text = re.sub(r"</?[A-Za-z][^<>\n]*>", " ", text)
+    text = re.sub(r"[ \t\r\f\v]+", " ", text)
+    text = re.sub(r" ?\n\s*", "\n", text)
+    return text.strip()
 
 
 @dataclass

@@ -91,23 +91,22 @@ class TestExtract:
         assert capsys.readouterr().out.endswith("new: 1\n")
         assert len(store.load(repo).units) == 9
 
-    def test_env_var_disables_fallback(self, calibration_repo, capsys, monkeypatch):
+    @pytest.mark.parametrize("env", [None, "0", "1"], ids=["env-unset", "env-0", "env-1"])
+    @pytest.mark.parametrize(
+        "flags", [[], ["--fallback", "on"], ["--fallback", "off"]], ids=["no-flag", "flag-on", "flag-off"]
+    )
+    def test_fallback_from_flag_then_env(self, calibration_repo, capsys, monkeypatch, env, flags):
         repo, _ = calibration_repo
         store_file = store.store_path(repo)
         if store_file.exists():
             store_file.unlink()
-        monkeypatch.setenv("COMMITDISTILL_SUBJECT_FALLBACK", "0")
-        assert run_cli("extract", "--repo", str(repo)) == 0
-        assert "total: 8 units" in capsys.readouterr().out
-
-    def test_explicit_flag_beats_env(self, calibration_repo, capsys, monkeypatch):
-        repo, _ = calibration_repo
-        store_file = store.store_path(repo)
-        if store_file.exists():
-            store_file.unlink()
-        monkeypatch.setenv("COMMITDISTILL_SUBJECT_FALLBACK", "0")
-        assert run_cli("extract", "--repo", str(repo), "--fallback", "on") == 0
-        assert "total: 9 units" in capsys.readouterr().out
+        if env is None:
+            monkeypatch.delenv("COMMITDISTILL_SUBJECT_FALLBACK", raising=False)
+        else:
+            monkeypatch.setenv("COMMITDISTILL_SUBJECT_FALLBACK", env)
+        fallback = flags[1:] == ["on"] or (not flags and env != "0")
+        assert run_cli("extract", "--repo", str(repo), *flags) == 0
+        assert f"total: {9 if fallback else 8} units" in capsys.readouterr().out
 
     def test_bad_repo_exits_2(self, tmp_path, capsys):
         assert run_cli("extract", "--repo", str(tmp_path / "missing")) == 2
@@ -383,7 +382,8 @@ class TestEvalCommands:
 
     def test_manifest_gate(self, extracted_repo, tmp_path):
         repo, _ = extracted_repo
-        good = [{"name": "fixture", "path": str(repo), "sha": gitio.head_sha(repo)}]
+        head = gitio.head_sha(repo)
+        good = [{"name": "fixture", "path": str(repo), "sha": head}, {"path": str(repo), "sha": head[:10]}]
         bad = [{"name": "fixture", "path": str(repo), "sha": "f" * 40}]
         good_path = tmp_path / "good.json"
         bad_path = tmp_path / "bad.json"
@@ -428,6 +428,10 @@ class TestInputFileErrors:
              "entry 1: ANSWERABLE query 'p' needs an answer span"),
             ("--benchmark", [{"query": "q", "query_class": "OOD", "answer_span": "x"}],
              "entry 0: OOD query 'q' must not carry a span"),
+            ("--manifest", [{"path": ".", "sha": ""}], "entry 0 pins sha '', not 7 to 40 hex digits"),
+            ("--manifest", [{"path": ".", "sha": "0" * 7}, {"path": ".", "sha": "zzzzzzz"}],
+             "entry 1 pins sha 'zzzzzzz', not 7 to 40 hex digits"),
+            ("--manifest", [{"path": ".", "sha": "abc"}], "entry 0 pins sha 'abc', not 7 to 40 hex digits"),
         ],
     )
     def test_bad_file_is_a_one_line_error(self, calibration_repo, tmp_path, capsys, option, content, problem):
@@ -445,6 +449,28 @@ class TestInputFileErrors:
         assert err.count("\n") == 1
         assert str(bad) in err
         assert problem in err
+
+
+    @pytest.mark.parametrize(
+        "content, problem",
+        [
+            (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful,useful\nb,useful,bogus,useful\n",
+             "line 3: label 'bogus' outside the four-class rubric"),
+            (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful\n", "line 2 has 3 fields, not 4"),
+            (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful,useful,noise\n",
+             "line 2 has 5 fields, not 4"),
+            (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful,useful\n\xff,noise,noise,noise\n",
+             "line 3 is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 67"),
+        ],
+        ids=["unknown-label", "short-row", "long-row", "not-utf-8"],
+    )
+    def test_bad_labels_file_is_a_one_line_error(self, tmp_path, capsys, content, problem):
+        bad = tmp_path / "labels.csv"
+        bad.write_bytes(content)
+        assert run_cli("eval", "kappa", "--labels", str(bad), "--out", str(tmp_path / "out")) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"labels file {bad} {problem}" in err
 
 
 class TestExitCodes:

@@ -300,6 +300,26 @@ def test_shared_unit_belongs_to_first_commit_in_window(shared_unit_repo):
     assert shas["pool_fix_1"] in retriever(oldest.window, gitio.clean_subject(oldest.fix.subject))
 
 
+def _hand_commit(sha: str, subject: str, body: str) -> gitio.Commit:
+    return gitio.Commit(sha, "Dev One", "2023-01-01T00:00:00+00:00", 1672531200, subject, body)
+
+
+@pytest.mark.parametrize("name", ["cd_v1", "cd_v2"])
+def test_hit_resolves_to_owning_commit_when_short_shas_collide(name):
+    drain = "Pool shutdown must drain the worker queue before closing sockets."
+    earlier = _hand_commit("deadbeef" + "1" * 32, "Document pool shutdown", drain)
+    later = _hand_commit("deadbeef" + "2" * 32, "Document cache warmup",
+                         "The cache must be warmed before requests land.")
+    copy = _hand_commit("deadbeef" + "3" * 32, "Repeat pool shutdown", drain)
+    assert earlier.short_sha == later.short_sha == copy.short_sha
+    retriever = ev.cd_retrievers(theta=0.0)[name]
+    # window order: the unit belongs to the first commit that yields it
+    assert retriever([earlier, later], "pool shutdown drain") == [earlier.sha]
+    assert retriever([later, earlier], "pool shutdown drain") == [earlier.sha]
+    assert retriever([earlier, later], "cache warmed requests") == [later.sha]
+    assert retriever([later, copy, earlier], "pool shutdown drain") == [copy.sha]
+
+
 class TestCohenKappa:
     def test_identical(self):
         assert ev.cohen_kappa(["a", "b", "a"], ["a", "b", "a"]) == 1.0

@@ -5,12 +5,13 @@ import re
 import string
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commitdistill import extraction as ex
 from commitdistill.gitio import Commit
 
 from conftest import RepoBuilder
+from oracles import normalize_oracle
 
 META = {"commit": "0123abcd", "author": "Dev One", "date": "2023-01-01T00:00:00+00:00", "source": "commit"}
 
@@ -42,6 +43,24 @@ class TestNormalize:
 
     def test_line_structure_survives(self):
         assert ex.normalize("subject line\n\nbody   line") == "subject line\nbody line"
+
+    def test_open_fence_runs_to_the_end(self):
+        assert ex.normalize("keep ```a``` this ```open\nfence") == "keep this"
+
+
+_markup = st.lists(
+    st.sampled_from(["```", "``", "`", "<b>", "</i>", "<", ">", "x", "word", " ", "\t", "\n", "\r\n"]),
+    max_size=40,
+).map("".join)
+
+
+@settings(max_examples=1000)
+@given(_markup)
+@example("````")
+@example("a ``` b ```` c ```")
+@example("x ```\n")
+def test_normalize_matches_two_fence_passes(text: str):
+    assert ex.normalize(text) == normalize_oracle(text)
 
 
 class TestRuleTable:
@@ -273,12 +292,6 @@ class TestExtractRepository:
         second = ex.extract_repository(repo_builder.path, max_count=10)
         assert first == second
         assert [u.id for u in first] == sorted(u.id for u in first)
-
-
-def test_fallback_env_switch():
-    assert ex.subject_fallback_enabled({}) is True
-    assert ex.subject_fallback_enabled({"COMMITDISTILL_SUBJECT_FALLBACK": "0"}) is False
-    assert ex.subject_fallback_enabled({"COMMITDISTILL_SUBJECT_FALLBACK": "1"}) is True
 
 
 _prose = st.text(alphabet=string.ascii_letters + string.digits + " .,:#!?\n'", max_size=300)

@@ -14,6 +14,7 @@ from oracles import (
     build_index_oracle,
     query_oracle,
     tfidf_oracle,
+    tokenize_oracle,
 )
 from test_baselines import make_commit
 from test_store import make_unit
@@ -50,6 +51,17 @@ class TestTokenize:
 
     def test_punctuation_stripped(self):
         assert tokenize("loop, loop!") == {"loop": 2}
+
+
+_identifier_text = st.text(alphabet="_aBzXYZ09 .-éÉßΩİǅ", max_size=60)
+
+
+@settings(max_examples=1000)
+@given(_identifier_text)
+@example("HTTPServer_URLParser __init__ ABC_Def A_Bc x_1_y _Ab_ größe_Café")
+def test_tokenize_matches_split_at_underscore(text: str):
+    # equal items in the same order: query scores sum over the terms in order
+    assert list(tokenize(text).items()) == list(tokenize_oracle(text).items())
 
 
 class TestBuildIndex:
