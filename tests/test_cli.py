@@ -450,7 +450,6 @@ class TestInputFileErrors:
         assert str(bad) in err
         assert problem in err
 
-
     @pytest.mark.parametrize(
         "content, problem",
         [
