@@ -6,11 +6,9 @@ window produces at least one result.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
 
 from .gitio import Commit
-from .retrieval import RetrievalIndex, index_documents, lookup, tokenize
+from .retrieval import Document, RetrievalIndex, index_documents, lookup, tokenize
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -32,22 +30,9 @@ def grep_search(commits, query: str, k: int = 10) -> list[tuple[Commit, int]]:
     return results
 
 
-@dataclass
-class Bm25Document:
-    commit: Commit
-    tf: Counter
-    length: int
-
-
-def tokenize_commit(commit: Commit) -> Bm25Document:
-    """The per-commit half of a BM25 build: subject+body term counts and length."""
-    tf = tokenize(commit.message)
-    return Bm25Document(commit, tf, sum(tf.values()))
-
-
 def build_bm25_index(commits) -> RetrievalIndex:
     """Index raw subjects+bodies with the identifier-aware tokenizer."""
-    return index_documents([tokenize_commit(commit) for commit in commits])
+    return index_documents([Document.of(commit, commit.message) for commit in commits])
 
 
 def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Commit, float]]:
@@ -69,6 +54,6 @@ def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Com
             freq = doc.tf.get(term)
             if freq:
                 score += idf[term] * freq * (BM25_K1 + 1.0) / (freq + norm)
-        scored.append((doc.commit, score))
+        scored.append((doc.item, score))
     scored.sort(key=lambda item: (-item[1], item[0].sha))
     return scored[:k]

@@ -20,17 +20,16 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import gitio
-from .baselines import Bm25Document, bm25_query, grep_search, tokenize_commit
+from .baselines import bm25_query, grep_search
 from .extraction import extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
     DEFAULT_THETA,
     EVAL_K,
-    IndexedDocument,
+    Document,
     RetrievalIndex,
     index_documents,
     query,
-    tokenize_unit,
 )
 
 QUERY_CLASSES = ("ANSWERABLE", "NOT_IN_CORPUS", "OOD", "FACT_STYLE")
@@ -260,29 +259,29 @@ class CommitDocuments:
     """
 
     def __init__(self) -> None:
-        self._rule_docs: dict[str, list[IndexedDocument]] = {}
-        self._fallback_docs: dict[str, list[IndexedDocument]] = {}
+        self._rule_docs: dict[str, list[Document]] = {}
+        self._fallback_docs: dict[str, list[Document]] = {}
 
-    def _of(self, commit: Commit, fallback_enabled: bool) -> list[IndexedDocument]:
+    def _of(self, commit: Commit, fallback_enabled: bool) -> list[Document]:
         if commit.sha not in self._rule_docs:
             units = extract_commit_units(commit, fallback_enabled=False)
-            self._rule_docs[commit.sha] = [tokenize_unit(unit) for unit in units]
+            self._rule_docs[commit.sha] = [Document.of(unit, unit.content) for unit in units]
         docs = self._rule_docs[commit.sha]
         if docs or not fallback_enabled:
             return docs
         if commit.sha not in self._fallback_docs:
             unit = subject_fallback_unit(commit)
-            self._fallback_docs[commit.sha] = [] if unit is None else [tokenize_unit(unit)]
+            self._fallback_docs[commit.sha] = [] if unit is None else [Document.of(unit, unit.content)]
         return self._fallback_docs[commit.sha]
 
     def owners(
         self, commits: Sequence[Commit], fallback_enabled: bool
-    ) -> dict[str, tuple[IndexedDocument, str]]:
+    ) -> dict[str, tuple[Document, str]]:
         """Per unit id, its document and the sha of the first of ``commits`` that yields it."""
-        owned: dict[str, tuple[IndexedDocument, str]] = {}
+        owned: dict[str, tuple[Document, str]] = {}
         for commit in commits:
             for doc in self._of(commit, fallback_enabled):
-                owned.setdefault(doc.unit.id, (doc, commit.sha))
+                owned.setdefault(doc.item.id, (doc, commit.sha))
         return owned
 
     def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
@@ -290,7 +289,7 @@ class CommitDocuments:
         return _owned_index(self.owners(commits, fallback_enabled))
 
 
-def _owned_index(owned: dict[str, tuple[IndexedDocument, str]]) -> RetrievalIndex:
+def _owned_index(owned: dict[str, tuple[Document, str]]) -> RetrievalIndex:
     return index_documents([owned[uid][0] for uid in sorted(owned)])
 
 
@@ -329,12 +328,12 @@ def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
 
 def bm25_retriever() -> CommitRetriever:
     """BM25 over each window, tokenizing each commit once per retriever."""
-    documents: dict[str, Bm25Document] = {}
+    documents: dict[str, Document] = {}
 
     def run(window: list[Commit], query_text: str) -> list[str]:
         for commit in window:
             if commit.sha not in documents:
-                documents[commit.sha] = tokenize_commit(commit)
+                documents[commit.sha] = Document.of(commit, commit.message)
         index = index_documents([documents[commit.sha] for commit in window])
         return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
 
@@ -430,19 +429,20 @@ def load_benchmark(path: Path | str) -> list[BenchQuery]:
 
 
 def load_labels(path: Path | str) -> list[LabelRecord]:
-    """CSV with header unit_id,annotator_a,annotator_b,adjudicated; a bad
-    file raises a ValueError naming the file and the line."""
+    """CSV with header unit_id,annotator_a,annotator_b,adjudicated and one row
+    per unit; a bad file raises a ValueError naming the file and the line."""
     raw = Path(path).read_bytes()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8-sig")  # spreadsheet exports lead with a byte-order mark
     except UnicodeDecodeError as exc:
-        line = raw.count(b"\n", 0, exc.start) + 1
+        line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(f"labels file {path} line {line} is not UTF-8: {exc}") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     header = next(reader, None)
     if header is None or tuple(header) != LABEL_FIELDS:
         raise ValueError(f"labels file {path} must carry the header {','.join(LABEL_FIELDS)}")
     records: list[LabelRecord] = []
+    line_of: dict[str, int] = {}
     for row in reader:
         if not row:
             continue
@@ -450,6 +450,11 @@ def load_labels(path: Path | str) -> list[LabelRecord]:
             raise ValueError(
                 f"labels file {path} line {reader.line_num} has {len(row)} fields, not {len(LABEL_FIELDS)}"
             )
+        if row[0] in line_of:
+            raise ValueError(
+                f"labels file {path} line {reader.line_num} repeats unit_id {row[0]!r} of line {line_of[row[0]]}"
+            )
+        line_of[row[0]] = reader.line_num
         try:
             records.append(LabelRecord(*row))
         except ValueError as exc:

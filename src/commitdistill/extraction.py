@@ -79,15 +79,15 @@ class HeuristicRule:
     """(type, regex, prior weight) triple; the regex has one capture group.
 
     ``triggers`` are lowercase literals of which at least one must appear in
-    the text before the regex is attempted; empty means "always attempt".
-    They are a scan shortcut only and never change what matches.
+    the text before the regex is attempted. They are a scan shortcut only
+    and never change what matches.
     """
 
     name: str
     unit_type: str
     pattern: re.Pattern[str]
     prior: float
-    triggers: tuple[str, ...] = ()
+    triggers: tuple[str, ...]
 
 
 @dataclass
@@ -126,14 +126,6 @@ class KnowledgeUnit:
         )
 
 
-def _rule(
-    name: str, unit_type: str, regex: str, prior: float, triggers: tuple[str, ...] = ()
-) -> HeuristicRule:
-    return HeuristicRule(
-        name, unit_type, re.compile(regex, re.IGNORECASE | re.MULTILINE), prior, triggers
-    )
-
-
 # A capture span runs sentence-start to sentence-end; the colon terminates
 # spans the same way the sentence splitter treats it. The zero-width
 # sentence-start check keeps failed scan positions O(1) instead of
@@ -141,73 +133,56 @@ def _rule(
 _SPAN = r"[^\n.!?:]"
 _SENT_START = r"(?:^|(?<=[.!?:]))\s*"
 
-DEFAULT_RULES: tuple[HeuristicRule, ...] = (
-    _rule(
-        "fact-constraint",
-        "fact",
-        rf"({_SENT_START}{_SPAN}*\b(?:must|requires?|should|cannot|always|never)\b{_SPAN}*[.!?]?)",
-        0.75,
-        triggers=("must", "require", "should", "cannot", "always", "never"),
+# Per span kind, the regex text before and after a rule's keyword regex.
+_SPAN_TEMPLATES = {
+    # the whole sentence holding the keyword
+    "sentence": (rf"({_SENT_START}{_SPAN}*", rf"{_SPAN}*[.!?]?)"),
+    # the rest of the sentence after "keyword:"
+    "after": ("", rf"\s*:\s*({_SPAN}+[.!?]?)"),
+    # the keyword and the rest of its sentence
+    "from": ("(", rf"{_SPAN}*[.!?]?)"),
+    # a kernel-style "fix"/"bug" subject line, which keeps its marker so
+    # issue-only subjects stay visible to the substantive filter, or the
+    # sentence holding the keyword
+    "subject": (
+        rf"((?:^[ \t]*(?:fix(?:es|ed)?(?![ \t]+by\b)|bug)\b[^\n.!?]*|{_SENT_START}{_SPAN}*",
+        rf"{_SPAN}*)[.!?]?)",
     ),
-    _rule(
-        "fact-annotation",
-        "fact",
-        rf"\b(?:note|important|warning)\s*:\s*({_SPAN}+[.!?]?)",
-        0.85,
-        triggers=("note", "important", "warning"),
-    ),
-    _rule(
-        "fact-equivalence",
-        "fact",
-        rf"({_SENT_START}{_SPAN}*\b(?:is|are)\s+(?:equivalent\s+to|the\s+same\s+as|an\s+alias\s+for)\b{_SPAN}*[.!?]?)",
-        0.65,
-        triggers=("equivalent", "same", "alias"),
-    ),
-    _rule(
-        "skill-resolution",
-        "skill",
-        rf"\b(?:fix(?:ed)?\s+by|solution|workaround)\s*:\s*({_SPAN}+[.!?]?)",
-        0.95,
-        triggers=("fix", "solution", "workaround"),
-    ),
-    _rule(
-        "skill-recommendation",
-        "skill",
-        rf"\b(?:recommend(?:ed)?|best\s+practice)\s*:\s*({_SPAN}+[.!?]?)",
-        0.85,
-        triggers=("recommend", "best"),
-    ),
-    _rule(
-        "skill-instructional",
-        "skill",
-        rf"(\bto\s+(?:avoid|prevent|enable|disable)\b{_SPAN}*[.!?]?)",
-        0.70,
-        triggers=("avoid", "prevent", "enable", "disable"),
-    ),
-    _rule(
-        "pattern-causal",
-        "pattern",
-        rf"({_SENT_START}{_SPAN}*\b(?:occurs|happens)\s+when\b{_SPAN}*[.!?]?)",
-        0.80,
-        triggers=("occurs", "happens"),
-    ),
-    _rule(
-        "pattern-exception",
-        "pattern",
-        rf"({_SENT_START}{_SPAN}*(?:(?-i:\b[A-Z]\w+(?:Error|Exception|Failure)\b)|\b(?:deadlock|race\s+condition|infinite\s+loop)\b){_SPAN}*[.!?]?)",
-        0.90,
-        triggers=("error", "exception", "failure", "deadlock", "race", "infinite"),
-    ),
-    # Covers both regression clauses and kernel-style "fix"/"bug" subject
-    # lines; the latter keep the marker so issue-only subjects stay visible
-    # to the substantive filter.
-    _rule(
-        "pattern-regression",
-        "pattern",
-        rf"((?:^[ \t]*(?:fix(?:es|ed)?(?![ \t]+by\b)|bug)\b[^\n.!?]*|{_SENT_START}{_SPAN}*\b(?:regression|broke|breaks|broken)\s+(?:in|since|after|when)\b{_SPAN}*)[.!?]?)",
-        0.75,
-        triggers=("fix", "bug", "regression", "broke", "break"),
-    ),
+}
+
+
+def _rule(
+    name: str, unit_type: str, prior: float, triggers: tuple[str, ...], keyword: str, span: str
+) -> HeuristicRule:
+    head, tail = _SPAN_TEMPLATES[span]
+    pattern = re.compile(head + keyword + tail, re.IGNORECASE | re.MULTILINE)
+    return HeuristicRule(name, unit_type, pattern, prior, triggers)
+
+
+DEFAULT_RULES: tuple[HeuristicRule, ...] = tuple(
+    _rule(*row)
+    for row in (
+        ("fact-constraint", "fact", 0.75, ("must", "require", "should", "cannot", "always", "never"),
+         r"\b(?:must|requires?|should|cannot|always|never)\b", "sentence"),
+        ("fact-annotation", "fact", 0.85, ("note", "important", "warning"),
+         r"\b(?:note|important|warning)", "after"),
+        ("fact-equivalence", "fact", 0.65, ("equivalent", "same", "alias"),
+         r"\b(?:is|are)\s+(?:equivalent\s+to|the\s+same\s+as|an\s+alias\s+for)\b", "sentence"),
+        ("skill-resolution", "skill", 0.95, ("fix", "solution", "workaround"),
+         r"\b(?:fix(?:ed)?\s+by|solution|workaround)", "after"),
+        ("skill-recommendation", "skill", 0.85, ("recommend", "best"),
+         r"\b(?:recommend(?:ed)?|best\s+practice)", "after"),
+        ("skill-instructional", "skill", 0.70, ("avoid", "prevent", "enable", "disable"),
+         r"\bto\s+(?:avoid|prevent|enable|disable)\b", "from"),
+        ("pattern-causal", "pattern", 0.80, ("occurs", "happens"),
+         r"\b(?:occurs|happens)\s+when\b", "sentence"),
+        ("pattern-exception", "pattern", 0.90,
+         ("error", "exception", "failure", "deadlock", "race", "infinite"),
+         r"(?:(?-i:\b[A-Z]\w+(?:Error|Exception|Failure)\b)|\b(?:deadlock|race\s+condition|infinite\s+loop)\b)",
+         "sentence"),
+        ("pattern-regression", "pattern", 0.75, ("fix", "bug", "regression", "broke", "break"),
+         r"\b(?:regression|broke|breaks|broken)\s+(?:in|since|after|when)\b", "subject"),
+    )
 )
 
 
@@ -323,7 +298,7 @@ def extract_units(
     units: list[KnowledgeUnit] = []
     seen: set[str] = set()
     for rule in rules:
-        if rule.triggers and not any(trigger in lowered for trigger in rule.triggers):
+        if not any(trigger in lowered for trigger in rule.triggers):
             continue
         for match in rule.pattern.finditer(normalized):
             content = match.group(1).strip()

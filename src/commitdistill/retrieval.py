@@ -16,6 +16,7 @@ import math
 import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from typing import Any
 
 from .extraction import KnowledgeUnit
 
@@ -56,22 +57,28 @@ class RankedHit:
 
 
 @dataclass
-class IndexedDocument:
-    unit: KnowledgeUnit
+class Document:
+    """What a ranker scores: the item it returns (a unit for TF-IDF, a commit
+    for BM25), with the term counts and length of the item's text."""
+
+    item: Any
     tf: Counter
     length: int
+
+    @classmethod
+    def of(cls, item, text: str) -> "Document":
+        tf = tokenize(text)
+        return cls(item, tf, sum(tf.values()))
 
 
 @dataclass
 class RetrievalIndex:
     """Documents and, per term, the positions of the documents holding it.
 
-    Immutable after build; safe to share across read-only queries. Any
-    document with ``tf`` and ``length`` fields can be indexed, so the same
-    shape serves the TF-IDF ranker and BM25.
+    Immutable after build; safe to share across read-only queries.
     """
 
-    documents: list
+    documents: list[Document]
     postings: dict[str, list[int]]
 
 
@@ -94,13 +101,7 @@ def tokenize(text: str) -> Counter:
     return counts
 
 
-def tokenize_unit(unit: KnowledgeUnit) -> IndexedDocument:
-    """The per-unit half of an index build: term counts and length."""
-    tf = tokenize(unit.content)
-    return IndexedDocument(unit, tf, sum(tf.values()))
-
-
-def index_documents(documents: list) -> RetrievalIndex:
+def index_documents(documents: list[Document]) -> RetrievalIndex:
     """The corpus half of an index build: postings; df is a postings length."""
     postings: dict[str, list[int]] = defaultdict(list)
     for idx, doc in enumerate(documents):
@@ -111,7 +112,7 @@ def index_documents(documents: list) -> RetrievalIndex:
 
 def build_index(units) -> RetrievalIndex:
     """Term counts, doc lengths and postings over unit contents."""
-    return index_documents([tokenize_unit(unit) for unit in units])
+    return index_documents([Document.of(unit, unit.content) for unit in units])
 
 
 def lookup(index: RetrievalIndex, terms) -> tuple[dict[str, int], set[int]]:
@@ -161,9 +162,9 @@ def query(
                     * idf[term]
                 )
         score /= math.sqrt(max(1, doc.length))
-        score *= boosts.for_type(doc.unit.unit_type) * (0.5 + 0.5 * doc.unit.weight)
+        score *= boosts.for_type(doc.item.unit_type) * (0.5 + 0.5 * doc.item.weight)
         if score >= theta:
-            hits.append(RankedHit(doc.unit, score))
+            hits.append(RankedHit(doc.item, score))
     hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
     return hits[:k]
 

@@ -7,6 +7,7 @@ repeated saves diff clean.
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import tempfile
@@ -90,6 +91,14 @@ def save(store: KnowledgeStore, root: Path | str) -> Path:
     return write_canonical(store_path(root), payload)
 
 
+def _finite(weight: int | float) -> bool:
+    """True for a weight that scores as a finite float; json reads NaN and Infinity."""
+    try:
+        return math.isfinite(weight)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def _unit_problem(entry) -> str | None:
     """What makes one stored unit unreadable, or None if nothing does."""
     if not isinstance(entry, dict):
@@ -100,6 +109,8 @@ def _unit_problem(entry) -> str | None:
         return f"has unknown type {entry['type']!r}"
     if type(entry["weight"]) not in (int, float):  # JSON true/false load as bool
         return "has a non-numeric weight"
+    if not _finite(entry["weight"]):
+        return "has a non-finite weight"
     for name in ("id", "title", "content", "context"):
         if type(entry[name]) is not str:
             return f"has a non-string {name}"
@@ -145,7 +156,11 @@ def load(root: Path | str) -> KnowledgeStore:
         }
     except (TypeError, KeyError):  # not an object, a missing field, an unhashable type
         shapes = None
-    if shapes is None or not shapes <= _UNIT_SHAPES:
+    if (
+        shapes is None
+        or not shapes <= _UNIT_SHAPES
+        or not all(map(_finite, {entry["weight"] for entry in entries}))
+    ):
         position, problem = next(
             (position, problem)
             for position, entry in enumerate(entries)

@@ -15,7 +15,9 @@ own commits, units and indexes, so that the files the CLI writes can be
 compared byte for byte. ``tokenize_oracle`` (which splits identifiers at
 ``_`` before the camel-case split) and ``normalize_oracle`` (a closed-fence
 pass, then an open-fence pass) are the earlier text passes that
-``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly.
+``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly,
+and ``RULES_ORACLE`` holds the rule regexes that ``extraction.DEFAULT_RULES``
+must compose.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from datetime import datetime
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.baselines import grep_search, tokenize_commit
+from commitdistill.baselines import grep_search
 from commitdistill.extraction import extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
@@ -36,9 +38,9 @@ from commitdistill.retrieval import (
     DEFAULT_THETA,
     EVAL_K,
     BoostTable,
+    Document,
     RankedHit,
     tokenize,
-    tokenize_unit,
 )
 
 
@@ -91,6 +93,34 @@ def normalize_oracle(text: str) -> str:
     return text.strip()
 
 
+# The nine rules with each regex written out in full, as they were before
+# the rule table composed them from span templates: (name, type, prior,
+# triggers, regex), every regex compiled IGNORECASE | MULTILINE.
+RULES_ORACLE = (
+    ("fact-constraint", "fact", 0.75, ("must", "require", "should", "cannot", "always", "never"),
+     r"((?:^|(?<=[.!?:]))\s*[^\n.!?:]*\b(?:must|requires?|should|cannot|always|never)\b[^\n.!?:]*[.!?]?)"),
+    ("fact-annotation", "fact", 0.85, ("note", "important", "warning"),
+     r"\b(?:note|important|warning)\s*:\s*([^\n.!?:]+[.!?]?)"),
+    ("fact-equivalence", "fact", 0.65, ("equivalent", "same", "alias"),
+     r"((?:^|(?<=[.!?:]))\s*[^\n.!?:]*\b(?:is|are)\s+(?:equivalent\s+to|the\s+same\s+as|an\s+alias\s+for)\b"
+     r"[^\n.!?:]*[.!?]?)"),
+    ("skill-resolution", "skill", 0.95, ("fix", "solution", "workaround"),
+     r"\b(?:fix(?:ed)?\s+by|solution|workaround)\s*:\s*([^\n.!?:]+[.!?]?)"),
+    ("skill-recommendation", "skill", 0.85, ("recommend", "best"),
+     r"\b(?:recommend(?:ed)?|best\s+practice)\s*:\s*([^\n.!?:]+[.!?]?)"),
+    ("skill-instructional", "skill", 0.7, ("avoid", "prevent", "enable", "disable"),
+     r"(\bto\s+(?:avoid|prevent|enable|disable)\b[^\n.!?:]*[.!?]?)"),
+    ("pattern-causal", "pattern", 0.8, ("occurs", "happens"),
+     r"((?:^|(?<=[.!?:]))\s*[^\n.!?:]*\b(?:occurs|happens)\s+when\b[^\n.!?:]*[.!?]?)"),
+    ("pattern-exception", "pattern", 0.9, ("error", "exception", "failure", "deadlock", "race", "infinite"),
+     r"((?:^|(?<=[.!?:]))\s*[^\n.!?:]*(?:(?-i:\b[A-Z]\w+(?:Error|Exception|Failure)\b)"
+     r"|\b(?:deadlock|race\s+condition|infinite\s+loop)\b)[^\n.!?:]*[.!?]?)"),
+    ("pattern-regression", "pattern", 0.75, ("fix", "bug", "regression", "broke", "break"),
+     r"((?:^[ \t]*(?:fix(?:es|ed)?(?![ \t]+by\b)|bug)\b[^\n.!?]*|(?:^|(?<=[.!?:]))\s*[^\n.!?:]*"
+     r"\b(?:regression|broke|breaks|broken)\s+(?:in|since|after|when)\b[^\n.!?:]*)[.!?]?)"),
+)
+
+
 @dataclass
 class IdfIndexOracle:
     documents: list
@@ -101,7 +131,7 @@ class IdfIndexOracle:
 def build_index_oracle(units) -> IdfIndexOracle:
     """The TF-IDF index with df, postings and idf = log(N / df) tabulated
     for the whole vocabulary (add-one smoothed for a single document)."""
-    documents = [tokenize_unit(unit) for unit in units]
+    documents = [Document.of(unit, unit.content) for unit in units]
     n = len(documents)
     df: Counter = Counter()
     postings: dict[str, list[int]] = defaultdict(list)
@@ -141,9 +171,9 @@ def query_oracle(
                     * index.idf[term]
                 )
         score /= math.sqrt(max(1, doc.length))
-        score *= boosts.for_type(doc.unit.unit_type) * (0.5 + 0.5 * doc.unit.weight)
+        score *= boosts.for_type(doc.item.unit_type) * (0.5 + 0.5 * doc.item.weight)
         if score >= theta:
-            hits.append(RankedHit(doc.unit, score))
+            hits.append(RankedHit(doc.item, score))
     hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
     return hits[:k]
 
@@ -158,7 +188,7 @@ class Bm25IndexOracle:
 def build_bm25_index_oracle(commits) -> Bm25IndexOracle:
     """The BM25 index with df and the +0.5-smoothed idf tabulated for the
     whole vocabulary, and avgdl."""
-    documents = [tokenize_commit(commit) for commit in commits]
+    documents = [Document.of(commit, commit.message) for commit in commits]
     n = len(documents)
     df: Counter = Counter()
     for doc in documents:
@@ -186,7 +216,7 @@ def bm25_query_oracle(
         for term in shared:
             freq = doc.tf[term]
             score += index.idf[term] * freq * (k1 + 1.0) / (freq + norm)
-        scored.append((doc.commit, score))
+        scored.append((doc.item, score))
     scored.sort(key=lambda item: (-item[1], item[0].sha))
     return scored[:k]
 

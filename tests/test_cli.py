@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import stat
 import subprocess
@@ -156,6 +157,10 @@ class TestStoreFile:
             pytest.param(_one_unit_store(weight="high"), "unit 1 has a non-numeric weight", id="weight-string"),
             pytest.param(_one_unit_store(weight=True), "unit 1 has a non-numeric weight", id="weight-bool"),
             pytest.param(_one_unit_store(weight=None), "unit 1 has a non-numeric weight", id="weight-null"),
+            pytest.param(_one_unit_store(weight=math.nan), "unit 1 has a non-finite weight", id="weight-nan"),
+            pytest.param(_one_unit_store(weight=math.inf), "unit 1 has a non-finite weight", id="weight-inf"),
+            pytest.param(_one_unit_store(weight=-math.inf), "unit 1 has a non-finite weight", id="weight-minus-inf"),
+            pytest.param(_one_unit_store(weight=10**400), "unit 1 has a non-finite weight", id="weight-huge-int"),
             pytest.param(_one_unit_store(id=7), "unit 1 has a non-string id", id="id-number"),
             pytest.param(_one_unit_store(title=None), "unit 1 has a non-string title", id="title-null"),
             pytest.param(_one_unit_store(content=["text"]), "unit 1 has a non-string content",
@@ -365,6 +370,16 @@ class TestEvalCommands:
         lo, hi = payload["useful_precision_ci95"]
         assert lo <= 0.6 <= hi
 
+    def test_kappa_reads_a_byte_order_mark(self, tmp_path, capsys):
+        with_bom = tmp_path / "labels.csv"
+        with_bom.write_bytes(b"\xef\xbb\xbf" + (DATA / "labels_sample.csv").read_bytes())
+        for name, labels in (("plain", DATA / "labels_sample.csv"), ("bom", with_bom)):
+            assert run_cli(
+                "eval", "kappa", "--labels", str(labels), "--resamples", "200", "--out", str(tmp_path / name)
+            ) == 0
+        result = "kappa_results.json"
+        assert (tmp_path / "bom" / result).read_bytes() == (tmp_path / "plain" / result).read_bytes()
+
     def test_kappa_identical_columns(self, tmp_path, capsys):
         labels = tmp_path / "labels.csv"
         labels.write_text(
@@ -460,8 +475,10 @@ class TestInputFileErrors:
              "line 2 has 5 fields, not 4"),
             (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful,useful\n\xff,noise,noise,noise\n",
              "line 3 is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 67"),
+            (b"unit_id,annotator_a,annotator_b,adjudicated\na,useful,useful,useful\nb,noise,noise,noise\n"
+             b"a,noise,useful,noise\n", "line 4 repeats unit_id 'a' of line 2"),
         ],
-        ids=["unknown-label", "short-row", "long-row", "not-utf-8"],
+        ids=["unknown-label", "short-row", "long-row", "not-utf-8", "repeated-unit"],
     )
     def test_bad_labels_file_is_a_one_line_error(self, tmp_path, capsys, content, problem):
         bad = tmp_path / "labels.csv"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import re
 import string
@@ -11,7 +12,7 @@ from commitdistill import extraction as ex
 from commitdistill.gitio import Commit
 
 from conftest import RepoBuilder
-from oracles import normalize_oracle
+from oracles import RULES_ORACLE, normalize_oracle
 
 META = {"commit": "0123abcd", "author": "Dev One", "date": "2023-01-01T00:00:00+00:00", "source": "commit"}
 
@@ -81,6 +82,38 @@ class TestRuleTable:
     def test_fallback_prior_sits_below_the_band(self):
         assert ex.FALLBACK_PRIOR == 0.40
         assert ex.FALLBACK_PRIOR < min(rule.prior for rule in ex.DEFAULT_RULES)
+
+    def test_templates_compose_the_written_out_regexes(self):
+        got = [
+            (rule.name, rule.unit_type, rule.prior, rule.triggers, rule.pattern.pattern, rule.pattern.flags)
+            for rule in ex.DEFAULT_RULES
+        ]
+        flags = re.compile("", re.IGNORECASE | re.MULTILINE).flags
+        assert got == [(*row, flags) for row in RULES_ORACLE]
+
+
+# Rule keywords, their look-alikes and the text around them: colons, "fix by",
+# decimals, fences, subject-line starts and keyword phrases broken by a newline.
+_RULE_FRAGMENTS = (
+    "must", "requires", "should", "cannot", "always", "never", "note", "Note:", "Important:", "warning",
+    "is equivalent to", "are the same as", "is an alias for", "same", "alias", "fix by", "fixed by:",
+    "fixes", "Fix", "bug", "solution:", "workaround:", "recommended:", "best practice:", "to avoid",
+    "to prevent", "to enable", "to\ndisable", "occurs when", "happens\nwhen", "ValueError",
+    "TimeoutException", "BuildFailure", "error", "deadlock", "race condition", "race\ncondition",
+    "infinite loop", "infinite\nloop", "regression in", "broke since", "breaks after", "broken\nwhen",
+    "breaker", "v1.2", "```code```", "```", "`x`", ": ", ":", ". ", ".", "! ", "? ", "\n", " ",
+    "the parser", "pin the resolver to the cache", "a", "#123", "caused by", "today",
+)
+_rule_text = st.lists(st.sampled_from(_RULE_FRAGMENTS), max_size=24).map(" ".join)
+
+
+@pytest.mark.parametrize("rule", ex.DEFAULT_RULES, ids=lambda rule: rule.name)
+@settings(max_examples=300, deadline=None)
+@given(text=_rule_text)
+@example(text="Tidy up.\nthe scheduler breaks after a reload of the cache")
+def test_triggers_never_change_what_matches(rule, text: str):
+    always_open = dataclasses.replace(rule, triggers=("",))
+    assert ex.extract_units(text, META, rules=(rule,)) == ex.extract_units(text, META, rules=(always_open,))
 
 
 class TestUnitId:

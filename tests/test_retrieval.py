@@ -98,7 +98,7 @@ def _one_term_idf(index, term: str) -> float:
     """idf of ``term`` read back from a one-term query: with neutral boosts
     and weight 1 the best holder scores (1 + log tf) * idf / sqrt(|d|)."""
     hit = query(index, term, k=1, theta=0.0, boosts=retrieval.NEUTRAL_BOOSTS)[0]
-    doc = next(d for d in index.documents if d.unit.id == hit.unit.id)
+    doc = next(d for d in index.documents if d.item.id == hit.unit.id)
     return hit.score * math.sqrt(max(1, doc.length)) / (1.0 + math.log(doc.tf[term]))
 
 
