@@ -248,6 +248,22 @@ class TestExtractUnits:
             assert "`" not in unit.content
             assert "<" not in unit.content
 
+    @pytest.mark.parametrize(
+        "text, content",
+        [
+            # a keyword running over a line break carries the span onto the next line
+            ("We saw a ValueError in the infinite\nloop of the scheduler today",
+             "We saw a ValueError in the infinite\nloop of the scheduler today"),
+            # after a sentence end, the regression clause wins over the "fixes" line
+            ("Tidy up the parser.\nfixes a regression in the parser: see the notes",
+             "fixes a regression in the parser"),
+            ("Tidy up the parser\nfixes a regression in the parser: see the notes",
+             "fixes a regression in the parser: see the notes"),
+        ],
+    )
+    def test_span_edges_across_line_breaks(self, text, content):
+        assert [unit.content for unit in ex.extract_units(text, META)] == [content]
+
     def test_rules_must_be_nonempty(self):
         with pytest.raises(ValueError):
             ex.extract_units("text", META, rules=())
