@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 
 from .gitio import Commit
-from .retrieval import Document, RetrievalIndex, index_documents, lookup, tokenize
+from .retrieval import Document, RetrievalIndex, lookup, tokenize
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -32,7 +32,7 @@ def grep_search(commits, query: str, k: int = 10) -> list[tuple[Commit, int]]:
 
 def build_bm25_index(commits) -> RetrievalIndex:
     """Index raw subjects+bodies with the identifier-aware tokenizer."""
-    return index_documents([Document.of(commit, commit.message) for commit in commits])
+    return RetrievalIndex([Document(commit, commit.message) for commit in commits])
 
 
 def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Commit, float]]:
@@ -44,6 +44,8 @@ def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Com
     df, candidates = lookup(index, query_terms)
     n = len(index.documents)
     idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
+    for doc in index.documents:
+        doc.terms()  # avgdl needs every length: the first query tokenizes them all
     avgdl = (sum(doc.length for doc in index.documents) / n) if n else 0.0
     scored: list[tuple[Commit, float]] = []
     for doc_index in candidates:

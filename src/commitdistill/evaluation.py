@@ -28,7 +28,6 @@ from .retrieval import (
     EVAL_K,
     Document,
     RetrievalIndex,
-    index_documents,
     query,
 )
 
@@ -252,7 +251,8 @@ def score_cases(cases: Sequence[TimeTravelCase], retriever: CommitRetriever) -> 
 
 
 class CommitDocuments:
-    """The CD-v1/CD-v2 indexes, each commit's units extracted and tokenized once.
+    """The CD-v1/CD-v2 indexes, each commit's units extracted once and
+    tokenized at most once, only when a window's query needs them.
 
     The rule units are shared by CD-v1 and CD-v2; CD-v2 adds the subject
     fallback on rule-silent commits, as extract_commit_units does.
@@ -265,13 +265,13 @@ class CommitDocuments:
     def _of(self, commit: Commit, fallback_enabled: bool) -> list[Document]:
         if commit.sha not in self._rule_docs:
             units = extract_commit_units(commit, fallback_enabled=False)
-            self._rule_docs[commit.sha] = [Document.of(unit, unit.content) for unit in units]
+            self._rule_docs[commit.sha] = [Document(unit, unit.content) for unit in units]
         docs = self._rule_docs[commit.sha]
         if docs or not fallback_enabled:
             return docs
         if commit.sha not in self._fallback_docs:
             unit = subject_fallback_unit(commit)
-            self._fallback_docs[commit.sha] = [] if unit is None else [Document.of(unit, unit.content)]
+            self._fallback_docs[commit.sha] = [] if unit is None else [Document(unit, unit.content)]
         return self._fallback_docs[commit.sha]
 
     def owners(
@@ -290,7 +290,7 @@ class CommitDocuments:
 
 
 def _owned_index(owned: dict[str, tuple[Document, str]]) -> RetrievalIndex:
-    return index_documents([owned[uid][0] for uid in sorted(owned)])
+    return RetrievalIndex([owned[uid][0] for uid in sorted(owned)])
 
 
 def _cd_run(documents: CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
@@ -318,7 +318,7 @@ def cd_retriever(fallback_enabled: bool = True, theta: float = DEFAULT_THETA) ->
 
 def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
     """CD-v1 (rules only) and CD-v2 (with the subject fallback), extracting
-    and tokenizing each window commit once for both."""
+    each window commit once, and tokenizing each unit at most once, for both."""
     documents = CommitDocuments()
     return {
         "cd_v1": _cd_run(documents, False, theta),
@@ -333,8 +333,8 @@ def bm25_retriever() -> CommitRetriever:
     def run(window: list[Commit], query_text: str) -> list[str]:
         for commit in window:
             if commit.sha not in documents:
-                documents[commit.sha] = Document.of(commit, commit.message)
-        index = index_documents([documents[commit.sha] for commit in window])
+                documents[commit.sha] = Document(commit, commit.message)
+        index = RetrievalIndex([documents[commit.sha] for commit in window])
         return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
 
     return run

@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import math
 import re
-from collections import Counter, defaultdict
+from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Any
 
 from .extraction import KnowledgeUnit
@@ -56,30 +58,81 @@ class RankedHit:
     score: float
 
 
-@dataclass
 class Document:
     """What a ranker scores: the item it returns (a unit for TF-IDF, a commit
-    for BM25), with the term counts and length of the item's text."""
+    for BM25) and the item's text. The text's term counts ``tf`` and its
+    ``length`` are plain attributes, filled by ``terms()`` when a query first
+    needs them; until then ``tf`` is None."""
 
-    item: Any
-    tf: Counter
-    length: int
+    __slots__ = ("item", "text", "tf", "length")
 
-    @classmethod
-    def of(cls, item, text: str) -> "Document":
-        tf = tokenize(text)
-        return cls(item, tf, sum(tf.values()))
+    def __init__(self, item: Any, text: str) -> None:
+        self.item = item
+        self.text = text
+        self.tf: Counter | None = None
+        self.length = 0
+
+    def terms(self) -> Counter:
+        """``tf``, tokenizing the text on first call. ``tf`` marks the
+        document filled, so ``length`` is stored first: whoever sees ``tf``
+        also sees its length."""
+        tf = self.tf
+        if tf is None:
+            tf = tokenize(self.text)
+            self.length = sum(tf.values())
+            self.tf = tf
+        return tf
 
 
-@dataclass
 class RetrievalIndex:
     """Documents and, per term, the positions of the documents holding it.
 
-    Immutable after build; safe to share across read-only queries.
+    A term's postings are found when a query first asks for the term, then
+    kept. Queries fill these caches, and an index stays safe to share across
+    concurrent queries: each entry is computed whole before it is stored in
+    one assignment, and two queries that race compute the same value.
     """
 
-    documents: list[Document]
-    postings: dict[str, list[int]]
+    __slots__ = ("documents", "_postings", "_folded")
+
+    def __init__(self, documents: list[Document]) -> None:
+        self.documents = documents
+        self._postings: dict[str, list[int]] = {}
+        self._folded: tuple[str, list[int]] | None = None
+
+    def postings(self, term: str) -> list[int]:
+        """Positions of the documents holding ``term``. Only documents whose
+        folded text contains the folded term are tokenized, so every document
+        listed has its ``tf`` and ``length`` filled."""
+        positions = self._postings.get(term)
+        if positions is None:
+            documents = self.documents
+            positions = [idx for idx in self._containing(term.casefold()) if term in documents[idx].terms()]
+            self._postings[term] = positions
+        return positions
+
+    def _containing(self, needle: str) -> list[int]:
+        """Positions of the documents whose casefolded text contains
+        ``needle``, found by searching all of them joined into one string.
+
+        The search never misses a holder: ``casefold`` maps each character
+        on its own, so a token's fold is a substring of its text's fold.
+        ``lower`` is not enough: ``tokenize("AΣ")`` gives ``aς``, but
+        ``"AΣ'B".lower()`` holds ``aσ``. A match across the joint of two
+        texts only adds a candidate, which the caller's ``tf`` test drops.
+        """
+        if self._folded is None:
+            texts = [doc.text.casefold() for doc in self.documents]
+            starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
+            self._folded = ("\n".join(texts), starts)
+        joined, starts = self._folded
+        found: list[int] = []
+        at = joined.find(needle)
+        while at >= 0:
+            idx = bisect_right(starts, at) - 1
+            found.append(idx)
+            at = joined.find(needle, starts[idx + 1])
+        return found
 
 
 def tokenize(text: str) -> Counter:
@@ -101,18 +154,9 @@ def tokenize(text: str) -> Counter:
     return counts
 
 
-def index_documents(documents: list[Document]) -> RetrievalIndex:
-    """The corpus half of an index build: postings; df is a postings length."""
-    postings: dict[str, list[int]] = defaultdict(list)
-    for idx, doc in enumerate(documents):
-        for term in doc.tf:
-            postings[term].append(idx)
-    return RetrievalIndex(documents, dict(postings))
-
-
 def build_index(units) -> RetrievalIndex:
-    """Term counts, doc lengths and postings over unit contents."""
-    return index_documents([Document.of(unit, unit.content) for unit in units])
+    """An index over unit contents; postings are found per query term."""
+    return RetrievalIndex([Document(unit, unit.content) for unit in units])
 
 
 def lookup(index: RetrievalIndex, terms) -> tuple[dict[str, int], set[int]]:
@@ -121,7 +165,7 @@ def lookup(index: RetrievalIndex, terms) -> tuple[dict[str, int], set[int]]:
     df: dict[str, int] = {}
     candidates: set[int] = set()
     for term in terms:
-        positions = index.postings.get(term)
+        positions = index.postings(term)
         if positions:
             df[term] = len(positions)
             candidates.update(positions)

@@ -127,7 +127,7 @@ def load(root: Path | str) -> KnowledgeStore:
         raise FileNotFoundError(
             f"no knowledge store at {path}; run the extract command first"
         ) from None
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long int
         raise ValueError(f"knowledge store {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"knowledge store {path} must hold a JSON object")

@@ -3,9 +3,11 @@
 These deliberately re-derive every quantity from scratch (document stats,
 idf, normalization) instead of touching the production index structures.
 ``build_index_oracle``/``query_oracle`` and ``build_bm25_index_oracle``/
-``bm25_query_oracle`` are the earlier indexes, which tabulate df and idf
-over the whole vocabulary at build time (BM25 then scans every document);
-the postings-only index must reproduce their scores bit for bit.
+``bm25_query_oracle`` are the earlier indexes, which tokenize every document
+up front (the eager ``Document`` and ``index_documents``) and tabulate df and
+idf over the whole vocabulary at build time (BM25 then scans every document);
+the lazy index, which finds postings per query term, must reproduce their
+scores bit for bit.
 The time-travel oracles are the straightforward versions of the case
 builder and the distilled-store retriever that the shared, cached ones in
 ``commitdistill.evaluation`` must reproduce exactly; ``threshold_sweep_oracle``
@@ -27,6 +29,7 @@ import subprocess
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from typing import Any
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
@@ -38,7 +41,6 @@ from commitdistill.retrieval import (
     DEFAULT_THETA,
     EVAL_K,
     BoostTable,
-    Document,
     RankedHit,
     tokenize,
 )
@@ -122,8 +124,32 @@ RULES_ORACLE = (
 
 
 @dataclass
+class Document:
+    """The eager document that ``retrieval.Document`` replaced: term counts
+    and length are computed when it is made."""
+
+    item: Any
+    tf: Counter
+    length: int
+
+    @classmethod
+    def of(cls, item, text: str) -> "Document":
+        tf = tokenize(text)
+        return cls(item, tf, sum(tf.values()))
+
+
+def index_documents(documents: list[Document]) -> dict[str, list[int]]:
+    """The eager postings build: every term of every document, up front."""
+    postings: dict[str, list[int]] = defaultdict(list)
+    for idx, doc in enumerate(documents):
+        for term in doc.tf:
+            postings[term].append(idx)
+    return dict(postings)
+
+
+@dataclass
 class IdfIndexOracle:
-    documents: list
+    documents: list[Document]
     idf: dict[str, float]
     postings: dict[str, list[int]]
 
@@ -132,16 +158,11 @@ def build_index_oracle(units) -> IdfIndexOracle:
     """The TF-IDF index with df, postings and idf = log(N / df) tabulated
     for the whole vocabulary (add-one smoothed for a single document)."""
     documents = [Document.of(unit, unit.content) for unit in units]
+    postings = index_documents(documents)
     n = len(documents)
-    df: Counter = Counter()
-    postings: dict[str, list[int]] = defaultdict(list)
-    for idx, doc in enumerate(documents):
-        for term in doc.tf:
-            df[term] += 1
-            postings[term].append(idx)
     numerator = n + 1 if n == 1 else n
-    idf = {term: math.log(numerator / count) for term, count in df.items()}
-    return IdfIndexOracle(documents, idf, dict(postings))
+    idf = {term: math.log(numerator / len(positions)) for term, positions in postings.items()}
+    return IdfIndexOracle(documents, idf, postings)
 
 
 def query_oracle(
@@ -180,7 +201,7 @@ def query_oracle(
 
 @dataclass
 class Bm25IndexOracle:
-    documents: list
+    documents: list[Document]
     idf: dict[str, float]
     avgdl: float
 

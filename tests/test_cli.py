@@ -161,6 +161,8 @@ class TestStoreFile:
             pytest.param(_one_unit_store(weight=math.inf), "unit 1 has a non-finite weight", id="weight-inf"),
             pytest.param(_one_unit_store(weight=-math.inf), "unit 1 has a non-finite weight", id="weight-minus-inf"),
             pytest.param(_one_unit_store(weight=10**400), "unit 1 has a non-finite weight", id="weight-huge-int"),
+            pytest.param(_one_unit_store(weight=0.5).replace("0.5", "9" * 5001), "is not valid JSON: Exceeds the limit",
+                         id="weight-5001-digits"),
             pytest.param(_one_unit_store(id=7), "unit 1 has a non-string id", id="id-number"),
             pytest.param(_one_unit_store(title=None), "unit 1 has a non-string title", id="title-null"),
             pytest.param(_one_unit_store(content=["text"]), "unit 1 has a non-string content",

@@ -64,6 +64,53 @@ def test_tokenize_matches_split_at_underscore(text: str):
     assert list(tokenize(text).items()) == list(tokenize_oracle(text).items())
 
 
+@settings(max_examples=1000)
+@given(st.text())
+@example("AΣ'B")
+@example("İstanbul")
+@example("Straße")
+@example("ﬁle")
+def test_every_token_folds_into_its_text(text: str):
+    """The postings scan never misses a holder: each token's fold is a
+    substring of its text's fold."""
+    folded = text.casefold()
+    for term in tokenize(text):
+        assert term.casefold() in folded
+
+
+def test_lower_would_miss_a_final_sigma():
+    # "AΣ" alone lowers to a final sigma; followed by "'B" it does not.
+    assert "aς" in tokenize("AΣ'B")
+    assert "aς" not in "AΣ'B".lower()
+    assert "aς".casefold() in "AΣ'B".casefold()
+
+
+class TestLazyIndex:
+    def test_queries_tokenize_only_the_documents_they_touch(self, monkeypatch):
+        units = [make_unit("Alpha beta"), make_unit("alphabet soup"), make_unit("gamma delta")]
+        index = build_index(units)
+        seen: list[str] = []
+        real_tokenize = retrieval.tokenize
+
+        def counting_tokenize(text: str):
+            seen.append(text)
+            return real_tokenize(text)
+
+        monkeypatch.setattr(retrieval, "tokenize", counting_tokenize)
+
+        def tokenized_and_hits(q: str) -> tuple[list[str], list[str]]:
+            seen.clear()
+            hits = query(index, q, k=5, theta=0.0)
+            assert seen[0] == q  # the query's own terms come first
+            return sorted(seen[1:]), sorted(hit.unit.content for hit in hits)
+
+        assert tokenized_and_hits("zqxjw wzqjx") == ([], [])
+        # "alphabet soup" holds "alpha" only as a substring: tokenized, not a hit
+        assert tokenized_and_hits("alpha") == (["Alpha beta", "alphabet soup"], ["Alpha beta"])
+        assert tokenized_and_hits("alpha") == ([], ["Alpha beta"])
+        assert tokenized_and_hits("ALPHA gamma") == (["gamma delta"], ["Alpha beta", "gamma delta"])
+
+
 class TestBuildIndex:
     def test_empty_corpus_always_silent(self):
         index = build_index([])
@@ -71,9 +118,8 @@ class TestBuildIndex:
 
     def test_single_unit_document_frequencies(self):
         index = build_index([make_unit("alpha beta alpha gamma", weight=1.0)])
-        assert {term: len(positions) for term, positions in index.postings.items()} == {
-            "alpha": 1, "beta": 1, "gamma": 1
-        }
+        df, _ = retrieval.lookup(index, ["alpha", "beta", "gamma", "absent"])
+        assert df == {"alpha": 1, "beta": 1, "gamma": 1}
         # degenerate one-document corpus gets add-one smoothed idf
         assert _one_term_idf(index, "alpha") == pytest.approx(math.log(2))
 
@@ -84,9 +130,9 @@ class TestBuildIndex:
             make_unit("delta delta", weight=1.0),
         ]
         index = build_index(units)
-        assert {term: len(positions) for term, positions in index.postings.items()} == {
-            "alpha": 2, "beta": 1, "gamma": 1, "delta": 1
-        }
+        df, candidates = retrieval.lookup(index, ["alpha", "beta", "gamma", "delta", "absent"])
+        assert df == {"alpha": 2, "beta": 1, "gamma": 1, "delta": 1}
+        assert candidates == {0, 1, 2}
         assert _one_term_idf(index, "alpha") == pytest.approx(math.log(3 / 2))
         assert _one_term_idf(index, "beta") == pytest.approx(math.log(3))
         assert _one_term_idf(index, "gamma") == pytest.approx(math.log(3))
@@ -221,8 +267,11 @@ def test_abstention_is_monotone_in_theta(units, query_text, theta_a, theta_b):
 
 
 # Small vocabularies so that terms are shared; "common" sits in most
-# documents (df > N/2 makes the BM25 idf negative), "absent" in none.
-_WORDS = ["alpha", "beta", "gamma", "redirectLoop", "snake_case", "http2"]
+# documents (df > N/2 makes the BM25 idf negative), "absent" in none. The
+# non-ASCII words fold differently under lower and casefold, and a capital
+# sigma lowers to a final sigma only at a word's end ("AΣ" but not "AΣ'B").
+_WORDS = ["alpha", "beta", "gamma", "redirectLoop", "snake_case", "http2",
+          "AΣ", "AΣ'B", "ΣΑΣ", "aσ", "Straße", "STRASSE", "İstanbul", "ﬁle", "file", "größe", "данные"]
 _document_words = st.lists(st.sampled_from(_WORDS + ["common"] * 3), max_size=7)
 _query_words = st.lists(st.sampled_from(_WORDS + ["common", "absent", "missing_term"]), min_size=1, max_size=6)
 
@@ -231,25 +280,32 @@ def _ranking(hits):
     return [(hit.unit.id, hit.score) for hit in hits]
 
 
-@settings(max_examples=200)
+@settings(max_examples=300)
 @given(st.lists(_document_words, max_size=6), _query_words)
 @example([], ["alpha"])
 @example([["alpha", "beta"]], ["alpha", "absent"])
 @example([["alpha"], ["alpha", "beta"]], ["alpha", "alpha", "beta"])
 @example([["common"], ["common", "alpha"], ["common"], ["beta"]], ["common", "alpha"])
+@example([["AΣ'B"], ["AΣ", "aσ"]], ["AΣ"])
+@example([["Straße"], ["STRASSE", "file"], ["ﬁle"]], ["STRASSE", "ﬁle"])
 def test_postings_index_scores_equal_tabulated_idf(word_lists, query_words):
-    """TF-IDF and BM25 over the postings-only index give the same rankings
-    and bit-identical scores as the indexes with whole-vocabulary idf tables."""
+    """TF-IDF and BM25 over the lazy index give the same rankings and
+    bit-identical scores as the eager indexes with whole-vocabulary idf
+    tables; each index is asked more than once, so later queries read the
+    postings that earlier ones kept."""
     units = [
         make_unit(f"{' '.join(words)} doc{i}", unit_type=("fact", "skill", "pattern")[i % 3], weight=(i % 4) / 4)
         for i, words in enumerate(word_lists)
     ]
     commits = [make_commit(i, " ".join(words), f"doc{i}") for i, words in enumerate(word_lists)]
     text = " ".join(query_words)
-    for theta in (0.0, 0.5):
-        got = query(build_index(units), text, k=10, theta=theta)
+    index = build_index(units)
+    for theta in (0.0, 0.5, 0.0):
+        got = query(index, text, k=10, theta=theta)
         want = query_oracle(build_index_oracle(units), text, k=10, theta=theta)
         assert _ranking(got) == _ranking(want)
-    got_bm25 = baselines.bm25_query(baselines.build_bm25_index(commits), text, k=10)
+    bm25_index = baselines.build_bm25_index(commits)
     want_bm25 = bm25_query_oracle(build_bm25_index_oracle(commits), text, k=10)
-    assert [(c.sha, score) for c, score in got_bm25] == [(c.sha, score) for c, score in want_bm25]
+    for _ in range(2):
+        got_bm25 = baselines.bm25_query(bm25_index, text, k=10)
+        assert [(c.sha, score) for c, score in got_bm25] == [(c.sha, score) for c, score in want_bm25]
