@@ -42,11 +42,13 @@ def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Com
     if not query_terms:
         return []
     df, candidates = lookup(index, query_terms)
+    if not candidates:
+        return []
     n = len(index.documents)
     idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
     for doc in index.documents:
         doc.terms()  # avgdl needs every length: the first query tokenizes them all
-    avgdl = (sum(doc.length for doc in index.documents) / n) if n else 0.0
+    avgdl = sum(doc.length for doc in index.documents) / n
     scored: list[tuple[Commit, float]] = []
     for doc_index in candidates:
         doc = index.documents[doc_index]

@@ -1,7 +1,9 @@
 """Turn commit text into typed, deduplicated knowledge units.
 
 Nine case-insensitive heuristic rules drive extraction; each carries a unit
-type and a prior weight in [0.65, 0.95]. Candidates pass length and stop
+type and a prior weight in [0.65, 0.95]. A message is swept once for the
+rules' trigger words and split into sentences once; each rule that can fire
+maps its keyword hits to their sentences. Candidates pass length and stop
 filters, Pattern candidates additionally pass a substantive filter, and a
 low-prior subject fallback unit (0.40) can stand in for commits on which
 every rule stays silent.
@@ -10,7 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import gitio
 from .gitio import Commit
@@ -24,13 +28,13 @@ TITLE_CAP = 60
 
 UNIT_TYPES = ("fact", "skill", "pattern")
 
-_WS_RE = re.compile(r"\s+")
 # A fence runs to the next fence or, left open, to the end of the text.
 _FENCE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
 _INLINE_CODE_RE = re.compile(r"`[^`\n]*`")
 _HTML_TAG_RE = re.compile(r"</?[A-Za-z][^<>\n]*>")
-_HSPACE_RE = re.compile(r"[ \t\r\f\v]+")
-_NEWLINE_RUN_RE = re.compile(r" ?\n\s*")
+# Horizontal-space runs other than a single space, each to become one space.
+_HSPACE_RE = re.compile(r"[\t\r\f\v][ \t\r\f\v]*| [ \t\r\f\v]+")
+_NEWLINE_RUN_RE = re.compile(r"\n\s*")
 _SENTENCE_END_RE = re.compile(r"[.!?](?=\s|$)")
 _TOKEN_RE = re.compile(r"[a-z0-9'#-]+")
 _NAMED_FAILURE_RE = re.compile(r"\b[A-Z]\w+(?:Error|Exception|Failure)\b")
@@ -74,20 +78,24 @@ STOP_WORDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeuristicRule:
-    """(type, regex, prior weight) triple; the regex has one capture group.
+    """A unit type and prior weight, and how the rule finds its spans.
 
-    ``triggers`` are lowercase literals of which at least one must appear in
-    the text before the regex is attempted. They are a scan shortcut only
-    and never change what matches.
+    ``keyword`` is the regex whose hits the rule is built around; ``span``
+    names how a hit becomes a span (see ``_SPAN_KINDS``). ``triggers`` are
+    lowercase literals of which at least one must appear in the text before
+    the keyword regex is run; they are a scan shortcut only and never change
+    what matches. Rules compare and hash by identity, which keeps the
+    per-rules cache of distinct triggers cheap to look up.
     """
 
     name: str
     unit_type: str
-    pattern: re.Pattern[str]
     prior: float
     triggers: tuple[str, ...]
+    keyword: re.Pattern[str]
+    span: str
 
 
 @dataclass
@@ -126,37 +134,118 @@ class KnowledgeUnit:
         )
 
 
-# A capture span runs sentence-start to sentence-end; the colon terminates
-# spans the same way the sentence splitter treats it. The zero-width
-# sentence-start check keeps failed scan positions O(1) instead of
-# re-consuming the rest of the sentence at every offset.
-_SPAN = r"[^\n.!?:]"
-_SENT_START = r"(?:^|(?<=[.!?:]))\s*"
+# Sentences end at these characters, found once per message. A span ends at
+# the first one after its keyword, so a keyword that runs over a line break
+# carries its span onto the next line.
+_BOUNDARY_RE = re.compile(r"[\n.!?:]")
+# The text after "keyword:": the rest of the sentence after the colon.
+_COLON_TAIL_RE = re.compile(r"\s*:\s*([^\n.!?:]+[.!?]?)")
+# A kernel-style "fix"/"bug" subject line, colons included.
+_SUBJECT_LINE_RE = re.compile(
+    r"^[ \t]*(?:fix(?:es|ed)?(?![ \t]+by\b)|bug)\b[^\n.!?]*[.!?]?", re.IGNORECASE | re.MULTILINE
+)
 
-# Per span kind, the regex text before and after a rule's keyword regex.
-_SPAN_TEMPLATES = {
-    # the whole sentence holding the keyword
-    "sentence": (rf"({_SENT_START}{_SPAN}*", rf"{_SPAN}*[.!?]?)"),
-    # the rest of the sentence after "keyword:"
-    "after": ("", rf"\s*:\s*({_SPAN}+[.!?]?)"),
-    # the keyword and the rest of its sentence
-    "from": ("(", rf"{_SPAN}*[.!?]?)"),
-    # a kernel-style "fix"/"bug" subject line, which keeps its marker so
-    # issue-only subjects stay visible to the substantive filter, or the
-    # sentence holding the keyword
-    "subject": (
-        rf"((?:^[ \t]*(?:fix(?:es|ed)?(?![ \t]+by\b)|bug)\b[^\n.!?]*|{_SENT_START}{_SPAN}*",
-        rf"{_SPAN}*)[.!?]?)",
-    ),
+
+def _span_end(text: str, bounds: list[int], position: int) -> int:
+    """End of the sentence running through ``position``, with its closing [.!?]."""
+    i = bisect_left(bounds, position)
+    if i == len(bounds):
+        return len(text)
+    stop = bounds[i]
+    return stop + 1 if text[stop] in ".!?" else stop
+
+
+def _sentences(text: str, bounds: list[int], hits):
+    """(start, end) of each sentence holding a hit, in order; the end is the
+    first boundary after the sentence's last hit, with its closing [.!?]."""
+    current = last_stop = None
+    for hit_start, hit_stop in hits:
+        i = bisect_left(bounds, hit_start)
+        if i != current:
+            if current is not None:
+                yield sentence_start, _span_end(text, bounds, last_stop)
+            current = i
+            sentence_start = bounds[i - 1] + 1 if i else 0
+        last_stop = hit_stop
+    if current is not None:
+        yield sentence_start, _span_end(text, bounds, last_stop)
+
+
+def _sentence_spans(text: str, bounds: list[int], hits):
+    """The whole sentence holding the keyword."""
+    end = 0
+    for start, stop in _sentences(text, bounds, hits):
+        if start >= end:
+            end = stop
+            yield start, start, stop
+
+
+def _after_spans(text: str, bounds: list[int], hits):
+    """The rest of the sentence after "keyword:"."""
+    end = 0
+    for start, stop in hits:
+        if start >= end and (tail := _COLON_TAIL_RE.match(text, stop)):
+            end = tail.end()
+            yield tail.start(1), start, end
+
+
+def _from_spans(text: str, bounds: list[int], hits):
+    """The keyword and the rest of its sentence."""
+    end = 0
+    for start, stop in hits:
+        if start >= end:
+            end = _span_end(text, bounds, stop)
+            yield start, start, end
+
+
+def _clause_starts_earlier(text: str, line_start: int, floor: int) -> bool:
+    """True when the sentence opening the line at ``line_start`` can start
+    earlier, but not before ``floor``: at a sentence start (after "\\n", ".",
+    "!", "?" or ":") with only whitespace between it and the line, as after a
+    line that ends in a full stop."""
+    position = line_start - 1
+    while position >= floor:
+        if position == 0 or text[position - 1] in "\n.!?:":
+            return True
+        if not text[position - 1].isspace():
+            return False
+        position -= 1
+    return False
+
+
+def _subject_spans(text: str, bounds: list[int], hits):
+    """A kernel-style "fix"/"bug" subject line, which keeps its marker so
+    issue-only subjects stay visible to the substantive filter, or the
+    sentence holding the keyword, whichever starts first; a line and the
+    sentence opening it start together unless the sentence can start earlier."""
+    lines = {match.start(): match.end() for match in _SUBJECT_LINE_RE.finditer(text)}
+    clauses = dict(_sentences(text, bounds, hits))
+    end = 0
+    for start in sorted(lines.keys() | clauses.keys()):
+        if start < end:
+            continue
+        if start in lines and not (start in clauses and _clause_starts_earlier(text, start, end)):
+            end = lines[start]
+        else:
+            end = clauses[start]
+        yield start, start, end
+
+
+# Per span kind: (text, sentence boundaries, keyword hits) -> (capture, start,
+# end) of each span, in order and never overlapping; a unit's content is
+# text[capture:end] and its context text[start:end], both stripped.
+_SPAN_KINDS = {
+    "sentence": _sentence_spans,
+    "after": _after_spans,
+    "from": _from_spans,
+    "subject": _subject_spans,
 }
 
 
 def _rule(
     name: str, unit_type: str, prior: float, triggers: tuple[str, ...], keyword: str, span: str
 ) -> HeuristicRule:
-    head, tail = _SPAN_TEMPLATES[span]
-    pattern = re.compile(head + keyword + tail, re.IGNORECASE | re.MULTILINE)
-    return HeuristicRule(name, unit_type, pattern, prior, triggers)
+    return HeuristicRule(name, unit_type, prior, triggers, re.compile(keyword, re.IGNORECASE), span)
 
 
 DEFAULT_RULES: tuple[HeuristicRule, ...] = tuple(
@@ -176,9 +265,10 @@ DEFAULT_RULES: tuple[HeuristicRule, ...] = tuple(
          r"\bto\s+(?:avoid|prevent|enable|disable)\b", "from"),
         ("pattern-causal", "pattern", 0.80, ("occurs", "happens"),
          r"\b(?:occurs|happens)\s+when\b", "sentence"),
+        # A named failure is found by its suffix; see _keyword_hits.
         ("pattern-exception", "pattern", 0.90,
          ("error", "exception", "failure", "deadlock", "race", "infinite"),
-         r"(?:(?-i:\b[A-Z]\w+(?:Error|Exception|Failure)\b)|\b(?:deadlock|race\s+condition|infinite\s+loop)\b)",
+         r"(?-i:(?P<suffix>Error|Exception|Failure)\b)|\b(?:deadlock|race\s+condition|infinite\s+loop)\b",
          "sentence"),
         ("pattern-regression", "pattern", 0.75, ("fix", "bug", "regression", "broke", "break"),
          r"\b(?:regression|broke|breaks|broken)\s+(?:in|since|after|when)\b", "subject"),
@@ -186,29 +276,58 @@ DEFAULT_RULES: tuple[HeuristicRule, ...] = tuple(
 )
 
 
+@lru_cache(maxsize=64)
+def _distinct_triggers(rules: tuple[HeuristicRule, ...]) -> tuple[str, ...]:
+    return tuple(dict.fromkeys(trigger for rule in rules for trigger in rule.triggers))
+
+
+def _keyword_hits(rule: HeuristicRule, text: str):
+    """(start, end) of each keyword hit, in order.
+
+    A hit on the ``suffix`` group ends a word; it counts only when the whole
+    word is a named failure (``_NAMED_FAILURE_RE``), and it starts where the
+    word does.
+    """
+    for match in rule.keyword.finditer(text):
+        start, stop = match.span()
+        if match.lastgroup == "suffix":
+            while start and (text[start - 1].isalnum() or text[start - 1] == "_"):
+                start -= 1
+            if not _NAMED_FAILURE_RE.match(text, start):
+                continue
+        yield start, stop
+
+
 def normalize(text: str) -> str:
     """Strip code fences, inline code, and HTML tags; collapse whitespace.
 
     Line breaks survive as single newlines so subject-line rules can anchor.
+    A pass runs only when the text holds what it would change.
     """
-    text = _FENCE_RE.sub(" ", text)
-    text = _INLINE_CODE_RE.sub(" ", text)
-    text = text.replace("`", " ")
-    text = _HTML_TAG_RE.sub(" ", text)
-    text = _HSPACE_RE.sub(" ", text)
-    text = _NEWLINE_RUN_RE.sub("\n", text)
+    if "`" in text:
+        text = _FENCE_RE.sub(" ", text)
+        text = _INLINE_CODE_RE.sub(" ", text)
+        text = text.replace("`", " ")
+    if "<" in text:
+        text = _HTML_TAG_RE.sub(" ", text)
+    if "  " in text or "\t" in text or "\r" in text or "\f" in text or "\v" in text:
+        text = _HSPACE_RE.sub(" ", text)
+    if "\n" in text:
+        # A run of line breaks and the whitespace after it, and the one space
+        # before it, become one line break.
+        text = _NEWLINE_RUN_RE.sub("\n", text).replace(" \n", "\n")
     return text.strip()
 
 
 def unit_id(unit_type: str, content: str) -> str:
     """First 12 hex chars of SHA-1 over "type::content", content canonicalized."""
-    canonical = _WS_RE.sub(" ", content.lower()).strip()
+    canonical = " ".join(content.lower().split())
     return hashlib.sha1(f"{unit_type}::{canonical}".encode("utf-8")).hexdigest()[:12]
 
 
 def is_stop(content: str) -> bool:
     """True when content is boilerplate or consists solely of stop words."""
-    normalized = _WS_RE.sub(" ", content.lower()).strip().strip(".!?:,;")
+    normalized = " ".join(content.lower().split()).strip(".!?:,;")
     if normalized in STOP_PHRASES:
         return True
     tokens = _TOKEN_RE.findall(normalized)
@@ -288,24 +407,29 @@ def extract_units(
     meta: dict[str, str],
     rules: tuple[HeuristicRule, ...] = DEFAULT_RULES,
 ) -> list[KnowledgeUnit]:
-    """Run every rule over normalized text; dedupe by id, keep rule order."""
+    """Run the rules over normalized text; dedupe by id, keep rule order.
+
+    One sweep finds which triggers the text holds; only the rules with one of
+    them run, over sentence boundaries found once.
+    """
     if not rules:
         raise ValueError("rules must be nonempty")
     normalized = normalize(text)
-    if not normalized:
-        return []
     lowered = normalized.lower()
+    present = {trigger for trigger in _distinct_triggers(rules) if trigger in lowered}
+    if not present:
+        return []
+    bounds = [match.start() for match in _BOUNDARY_RE.finditer(normalized)]
     units: list[KnowledgeUnit] = []
     seen: set[str] = set()
     for rule in rules:
-        if not any(trigger in lowered for trigger in rule.triggers):
+        if present.isdisjoint(rule.triggers):
             continue
-        for match in rule.pattern.finditer(normalized):
-            content = match.group(1).strip()
+        hits = _keyword_hits(rule, normalized)
+        for capture, start, end in _SPAN_KINDS[rule.span](normalized, bounds, hits):
+            content = normalized[capture:end].strip()
             if rule.unit_type == "pattern":
-                content = capture_resolution_tail(
-                    content, _sentence_after(normalized, match.end())
-                )
+                content = capture_resolution_tail(content, _sentence_after(normalized, end))
             if not MIN_CONTENT_LEN <= len(content) <= MAX_CONTENT_LEN:
                 continue
             if is_stop(content):
@@ -323,7 +447,7 @@ def extract_units(
                     title=_make_title(content),
                     content=content,
                     weight=rule.prior,
-                    context=match.group(0).strip(),
+                    context=normalized[start:end].strip(),
                     meta=dict(meta),
                 )
             )

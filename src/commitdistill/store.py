@@ -12,6 +12,7 @@ import os
 import stat
 import tempfile
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring as _string
 from pathlib import Path
 
 from .extraction import UNIT_TYPES, KnowledgeUnit
@@ -62,18 +63,22 @@ def _file_mode(path: Path) -> int:
 
 
 def write_canonical(path: Path, payload) -> Path:
-    """Atomic canonical-JSON write (temp file in place, then rename).
+    """Atomic canonical-JSON write of ``payload``; see ``_write_atomic``."""
+    return _write_atomic(Path(path), canonical_json(payload))
+
+
+def _write_atomic(path: Path, text: str) -> Path:
+    """Write ``text`` to a temp file in place, then rename it over ``path``.
 
     The file keeps its mode across rewrites; a new one gets the mode that
     ``open`` would give it, not the owner-only mode of a temporary file.
     """
-    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     mode = _file_mode(path)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(canonical_json(payload))
+            handle.write(text)
         os.chmod(tmp_name, mode)
         os.replace(tmp_name, path)
     except OSError:
@@ -83,12 +88,54 @@ def write_canonical(path: Path, payload) -> Path:
     return path
 
 
+def _unit_json(unit: KnowledgeUnit) -> str:
+    """One unit as ``canonical_json`` renders it inside the store's list.
+
+    Raises TypeError for a unit this rendering does not cover: a field that
+    is not a str, a weight that is not a finite int or float, or a meta that
+    is not a flat str-to-str object.
+    """
+    weight = unit.weight
+    if not (type(weight) is int or type(weight) is float and math.isfinite(weight)):
+        raise TypeError("the weight needs the json encoder")
+    if unit.meta:
+        meta = "{\n" + ",\n".join(
+            f"        {_string(key)}: {_string(value)}" for key, value in sorted(unit.meta.items())
+        ) + "\n      }"
+    else:
+        meta = "{}"
+    return (
+        "    {\n"
+        f"      \"content\": {_string(unit.content)},\n"
+        f"      \"context\": {_string(unit.context)},\n"
+        f"      \"id\": {_string(unit.id)},\n"
+        f"      \"meta\": {meta},\n"
+        f"      \"title\": {_string(unit.title)},\n"
+        f"      \"type\": {_string(unit.unit_type)},\n"
+        f"      \"weight\": {weight!r}\n"
+        "    }"
+    )
+
+
 def save(store: KnowledgeStore, root: Path | str) -> Path:
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "units": [unit.to_dict() for unit in store.sorted_units()],
-    }
-    return write_canonical(store_path(root), payload)
+    """Write the store in its canonical form, atomically.
+
+    The units are rendered here, not by ``canonical_json``, whose indenting
+    encoder runs in pure Python; the bytes are the same. An empty store, and
+    a store with a unit that ``_unit_json`` does not cover, go through
+    ``canonical_json``.
+    """
+    units = store.sorted_units()
+    try:
+        rendered = ",\n".join(map(_unit_json, units))
+    except TypeError:
+        rendered = ""
+    if rendered:
+        text = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "units": [\n{rendered}\n  ]\n}}\n'
+    else:
+        payload = {"schema_version": SCHEMA_VERSION, "units": [unit.to_dict() for unit in units]}
+        text = canonical_json(payload)
+    return _write_atomic(store_path(root), text)
 
 
 def _finite(weight: int | float) -> bool:

@@ -18,8 +18,10 @@ compared byte for byte. ``tokenize_oracle`` (which splits identifiers at
 ``_`` before the camel-case split) and ``normalize_oracle`` (a closed-fence
 pass, then an open-fence pass) are the earlier text passes that
 ``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly,
-and ``RULES_ORACLE`` holds the rule regexes that ``extraction.DEFAULT_RULES``
-must compose.
+and ``extract_units_oracle``, the nine written-out ``RULES_ORACLE`` regexes each
+scanned over the whole message, is the rule engine that the sentence-first
+``extraction.extract_units`` must reproduce unit for unit. ``store_bytes_oracle``
+is the store file that ``store.save`` must write byte for byte.
 """
 from __future__ import annotations
 
@@ -32,9 +34,10 @@ from datetime import datetime
 from typing import Any
 
 from commitdistill import evaluation as ev
-from commitdistill import gitio
+from commitdistill import extraction as ex
+from commitdistill import gitio, store
 from commitdistill.baselines import grep_search
-from commitdistill.extraction import extract_commit_units, extract_commits
+from commitdistill.extraction import KnowledgeUnit, extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
     DEFAULT_K,
@@ -95,9 +98,9 @@ def normalize_oracle(text: str) -> str:
     return text.strip()
 
 
-# The nine rules with each regex written out in full, as they were before
-# the rule table composed them from span templates: (name, type, prior,
-# triggers, regex), every regex compiled IGNORECASE | MULTILINE.
+# The nine rules with each regex written out in full, keyword and span in one
+# regex: (name, type, prior, triggers, regex), every regex compiled
+# IGNORECASE | MULTILINE.
 RULES_ORACLE = (
     ("fact-constraint", "fact", 0.75, ("must", "require", "should", "cannot", "always", "never"),
      r"((?:^|(?<=[.!?:]))\s*[^\n.!?:]*\b(?:must|requires?|should|cannot|always|never)\b[^\n.!?:]*[.!?]?)"),
@@ -122,6 +125,64 @@ RULES_ORACLE = (
      r"\b(?:regression|broke|breaks|broken)\s+(?:in|since|after|when)\b[^\n.!?:]*)[.!?]?)"),
 )
 
+
+RULES_ORACLE_COMPILED = tuple(
+    (name, unit_type, prior, triggers, re.compile(regex, re.IGNORECASE | re.MULTILINE))
+    for name, unit_type, prior, triggers, regex in RULES_ORACLE
+)
+
+
+def extract_units_oracle(text: str, meta: dict[str, str]) -> list[KnowledgeUnit]:
+    """The rule engine before sentence-first spans: each rule's written-out
+    regex scanned over the whole normalized message with ``finditer``, behind
+    the rule's own substring triggers."""
+    normalized = normalize_oracle(text)
+    if not normalized:
+        return []
+    lowered = normalized.lower()
+    units: list[KnowledgeUnit] = []
+    seen: set[str] = set()
+    for _name, unit_type, prior, triggers, pattern in RULES_ORACLE_COMPILED:
+        if not any(trigger in lowered for trigger in triggers):
+            continue
+        for match in pattern.finditer(normalized):
+            content = match.group(1).strip()
+            if unit_type == "pattern":
+                content = ex.capture_resolution_tail(
+                    content, ex.first_sentence(normalized[match.end():])
+                )
+            if not ex.MIN_CONTENT_LEN <= len(content) <= ex.MAX_CONTENT_LEN:
+                continue
+            if ex.is_stop(content):
+                continue
+            if unit_type == "pattern" and not ex.is_substantive_pattern(content):
+                continue
+            uid = ex.unit_id(unit_type, content)
+            if uid in seen:
+                continue
+            seen.add(uid)
+            units.append(
+                KnowledgeUnit(
+                    id=uid,
+                    unit_type=unit_type,
+                    title=ex.truncate_at_word(content, ex.TITLE_CAP),
+                    content=content,
+                    weight=prior,
+                    context=match.group(0).strip(),
+                    meta=dict(meta),
+                )
+            )
+    return units
+
+
+def store_bytes_oracle(knowledge_store) -> bytes:
+    """The store file as ``store.save`` wrote it before it rendered the units
+    itself: every unit's ``to_dict`` through ``canonical_json``."""
+    payload = {
+        "schema_version": store.SCHEMA_VERSION,
+        "units": [unit.to_dict() for unit in knowledge_store.sorted_units()],
+    }
+    return store.canonical_json(payload).encode("utf-8")
 
 @dataclass
 class Document:

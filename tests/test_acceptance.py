@@ -5,6 +5,7 @@ pass lines alongside pytest's own verdicts.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import random
@@ -161,7 +162,8 @@ def test_criterion_03_fixture_extraction_oracle(oracle_repo):
     # the planted "fix issue #1234" subject is matched by a pattern rule,
     # rejected by the substantive filter, and leaves no trace in the store
     kernel_rule = next(r for r in extraction.DEFAULT_RULES if r.name == "pattern-regression")
-    assert kernel_rule.pattern.search("fix issue #1234") is not None
+    as_fact = dataclasses.replace(kernel_rule, unit_type="fact")  # no substantive filter
+    assert extraction.extract_units("fix issue #1234", {}, rules=(as_fact,))
     assert extraction.is_substantive_pattern("fix issue #1234") is False
     assert not any("1234" in u.content for u in regex_units)
 

@@ -16,6 +16,7 @@ from oracles import (
     baseline_payload_oracle,
     budget_payload_oracle,
     sweep_payload_oracle,
+    store_bytes_oracle,
     time_travel_payload_oracle,
 )
 from test_evaluation import DIFFERENTIAL_REPOS
@@ -226,6 +227,12 @@ class TestStrip:
         assert set(after.units) == set(before.units)
         assert all(unit.meta["author"] == "redacted" for unit in after.units.values())
         assert all("commit" in unit.meta for unit in after.units.values())
+
+    def test_strip_attribution_writes_the_oracle_bytes(self, extracted_repo, capsys):
+        repo, _ = extracted_repo
+        want = store_bytes_oracle(store.strip_attribution(store.load(repo)))
+        assert run_cli("store", "strip-attribution", "--repo", str(repo)) == 0
+        assert store.store_path(repo).read_bytes() == want
 
 
 class TestEvalCommands:

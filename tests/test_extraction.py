@@ -12,7 +12,7 @@ from commitdistill import extraction as ex
 from commitdistill.gitio import Commit
 
 from conftest import RepoBuilder
-from oracles import RULES_ORACLE, normalize_oracle
+from oracles import RULES_ORACLE, extract_units_oracle, normalize_oracle
 
 META = {"commit": "0123abcd", "author": "Dev One", "date": "2023-01-01T00:00:00+00:00", "source": "commit"}
 
@@ -50,7 +50,10 @@ class TestNormalize:
 
 
 _markup = st.lists(
-    st.sampled_from(["```", "``", "`", "<b>", "</i>", "<", ">", "x", "word", " ", "\t", "\n", "\r\n"]),
+    st.sampled_from(
+        ["```", "``", "`", "<b>", "</i>", "<", ">", "x", "word", " ", "\t", "\n", "\r\n", "\f", "\v", "\r",
+         "  ", " \t "]
+    ),
     max_size=40,
 ).map("".join)
 
@@ -69,8 +72,8 @@ class TestRuleTable:
         assert len(ex.DEFAULT_RULES) == 9
         for rule in ex.DEFAULT_RULES:
             assert 0.65 <= rule.prior <= 0.95
-            assert rule.pattern.groups == 1
-            assert rule.pattern.flags & re.IGNORECASE
+            assert rule.keyword.flags & re.IGNORECASE
+            assert rule.span in ex._SPAN_KINDS
             assert rule.unit_type in ex.UNIT_TYPES
 
     def test_three_rules_per_type(self):
@@ -83,13 +86,9 @@ class TestRuleTable:
         assert ex.FALLBACK_PRIOR == 0.40
         assert ex.FALLBACK_PRIOR < min(rule.prior for rule in ex.DEFAULT_RULES)
 
-    def test_templates_compose_the_written_out_regexes(self):
-        got = [
-            (rule.name, rule.unit_type, rule.prior, rule.triggers, rule.pattern.pattern, rule.pattern.flags)
-            for rule in ex.DEFAULT_RULES
-        ]
-        flags = re.compile("", re.IGNORECASE | re.MULTILINE).flags
-        assert got == [(*row, flags) for row in RULES_ORACLE]
+    def test_rules_are_the_written_out_table(self):
+        got = [(rule.name, rule.unit_type, rule.prior, rule.triggers) for rule in ex.DEFAULT_RULES]
+        assert got == [row[:4] for row in RULES_ORACLE]
 
 
 # Rule keywords, their look-alikes and the text around them: colons, "fix by",
@@ -114,6 +113,26 @@ _rule_text = st.lists(st.sampled_from(_RULE_FRAGMENTS), max_size=24).map(" ".joi
 def test_triggers_never_change_what_matches(rule, text: str):
     always_open = dataclasses.replace(rule, triggers=("",))
     assert ex.extract_units(text, META, rules=(rule,)) == ex.extract_units(text, META, rules=(always_open,))
+
+
+# Messages built from the rule fragments with the separators that decide where
+# a span starts and ends: sentence ends, colons, line breaks, a subject line.
+_message = st.lists(
+    st.tuples(st.sampled_from(_RULE_FRAGMENTS), st.sampled_from([" ", " ", "\n", ". ", ": ", "", ".\n", "\xa0"])),
+    max_size=30,
+).map(lambda pairs: "".join(fragment + separator for fragment, separator in pairs))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(text=_message)
+@example(text="We saw a ValueError in the infinite\nloop of the scheduler today")
+@example(text="Tidy up the parser.\nfixes a regression in the parser: see the notes")
+@example(text="Tidy up.\xa0\nfix the regression in the parser")
+@example(text="Fix: pin the resolver. Workaround: raise the pool size. caused by the cache.")
+@example(text="AError XValueError FooErrorBar the_Error _LoadError race\ncondition in v1.2")
+@example(text="Note :\n. note: x. Warning:\nthe cache must stay warm")
+def test_sentence_first_spans_match_the_regex_engine(text: str):
+    assert ex.extract_units(text, META) == extract_units_oracle(text, META)
 
 
 class TestUnitId:
@@ -197,10 +216,12 @@ class TestExtractUnits:
         assert ex.extract_units("fix issue #1842", META) == []
 
     def test_candidate_fires_before_rejection(self):
-        # the kernel-style branch matches, so the rejection is the filter's doing
+        # the kernel-style branch matches, so the rejection is the filter's doing:
+        # typed as a fact, which skips the substantive filter, the span is kept
         rule = next(r for r in ex.DEFAULT_RULES if r.name == "pattern-regression")
-        match = rule.pattern.search("fix issue #1842")
-        assert match is not None and match.group(1) == "fix issue #1842"
+        as_fact = dataclasses.replace(rule, unit_type="fact")
+        units = ex.extract_units("fix issue #1842", META, rules=(as_fact,))
+        assert [unit.content for unit in units] == ["fix issue #1842"]
 
     def test_resolution_tail_joined_for_patterns(self):
         units = ex.extract_units(

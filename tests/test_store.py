@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import tempfile
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commitdistill import retrieval, store
 from commitdistill.extraction import KnowledgeUnit, unit_id
+
+from oracles import store_bytes_oracle
 
 
 def make_unit(content: str, unit_type: str = "fact", weight: float = 0.75,
@@ -140,3 +143,37 @@ def test_merge_is_order_insensitive_on_unit_sets(left_contents, right_contents):
     assert set(one.units) == set(two.units)
     for uid in one.units:
         assert one.units[uid].content == two.units[uid].content
+
+
+# Text the JSON encoder has to escape or pass through: quotes, backslashes,
+# control characters, line and paragraph separators, non-ASCII text.
+_field_text = st.text(alphabet='"\\\x00\x1f\x7f\n\t\u2028\u2029é中\U0001f600 ab', max_size=12)
+_plain_meta = st.dictionaries(_field_text, _field_text, max_size=4)
+_odd_meta = st.dictionaries(
+    _field_text,
+    st.one_of(st.integers(), st.floats(), st.none(), st.booleans(), st.lists(_field_text, max_size=2),
+              st.dictionaries(_field_text, _field_text, max_size=2)),
+    min_size=1,
+    max_size=3,
+)
+_weight = st.one_of(st.integers(), st.floats(), st.booleans())
+_unit = st.builds(
+    KnowledgeUnit,
+    id=_field_text,
+    unit_type=st.sampled_from(["fact", "skill", "pattern"]),
+    title=_field_text,
+    content=_field_text,
+    weight=_weight,
+    context=_field_text,
+    meta=st.one_of(_plain_meta, _plain_meta, _odd_meta),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_unit, max_size=4))
+@example([])
+@example([make_unit("plain unit with a 0.75 weight"), make_unit("integer weight", weight=1)])
+def test_save_writes_the_oracle_bytes(units):
+    knowledge_store = store.KnowledgeStore({unit.id: unit for unit in units})
+    with tempfile.TemporaryDirectory() as root:
+        assert store.save(knowledge_store, root).read_bytes() == store_bytes_oracle(knowledge_store)
