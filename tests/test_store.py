@@ -156,7 +156,7 @@ _odd_meta = st.dictionaries(
     min_size=1,
     max_size=3,
 )
-_weight = st.one_of(st.integers(), st.floats(), st.booleans())
+_weight = st.one_of(st.sampled_from([0.75, 0.4, 1, 0]), st.integers(), st.floats(), st.booleans())
 _unit = st.builds(
     KnowledgeUnit,
     id=_field_text,
