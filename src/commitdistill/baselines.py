@@ -5,6 +5,7 @@ window produces at least one result.
 """
 from __future__ import annotations
 
+import heapq
 import math
 
 from .gitio import Commit
@@ -35,6 +36,30 @@ def build_bm25_index(commits) -> RetrievalIndex:
     return RetrievalIndex([Document(commit, commit.message) for commit in commits])
 
 
+def bm25_idf(n: int, df: dict[str, int]) -> dict[str, float]:
+    """The +0.5-smoothed idf of each term of ``df`` in ``n`` documents."""
+    return {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
+
+
+def bm25_rank(documents, query_terms, idf: dict[str, float], avgdl: float, k: int):
+    """Okapi BM25 top-k of ``documents``, ties on ascending sha. Each
+    document's ``tf`` must be filled, and ``idf`` must hold every query term
+    that a document holds. A document's shared terms are summed in
+    ``query_terms``' order."""
+    weights = [(term, idf[term]) for term in query_terms if term in idf]
+    scored: list[tuple[float, str, int, Commit]] = []
+    for position, doc in enumerate(documents):
+        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc.length / avgdl)
+        tf = doc.tf
+        score = 0.0
+        for term, term_idf in weights:
+            freq = tf.get(term)
+            if freq:
+                score += term_idf * freq * (BM25_K1 + 1.0) / (freq + norm)
+        scored.append((-score, doc.item.sha, position, doc.item))
+    return [(commit, -negated) for negated, _, _, commit in heapq.nsmallest(k, scored)]
+
+
 def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Commit, float]]:
     """Okapi BM25 top-k with the +0.5-smoothed idf; every document sharing a
     term is a candidate, and only those are scored."""
@@ -44,20 +69,9 @@ def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Com
     df, candidates = lookup(index, query_terms)
     if not candidates:
         return []
-    n = len(index.documents)
-    idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
-    for doc in index.documents:
+    documents = index.documents
+    for doc in documents:
         doc.terms()  # avgdl needs every length: the first query tokenizes them all
-    avgdl = sum(doc.length for doc in index.documents) / n
-    scored: list[tuple[Commit, float]] = []
-    for doc_index in candidates:
-        doc = index.documents[doc_index]
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc.length / avgdl)
-        score = 0.0
-        for term in query_terms:
-            freq = doc.tf.get(term)
-            if freq:
-                score += idf[term] * freq * (BM25_K1 + 1.0) / (freq + norm)
-        scored.append((doc.item, score))
-    scored.sort(key=lambda item: (-item[1], item[0].sha))
-    return scored[:k]
+    avgdl = sum(doc.length for doc in documents) / len(documents)
+    idf = bm25_idf(len(documents), df)
+    return bm25_rank([documents[i] for i in candidates], query_terms, idf, avgdl, k)

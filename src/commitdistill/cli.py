@@ -117,9 +117,18 @@ def _commits_and_indexes(args: argparse.Namespace):
     return commits, index, baselines.build_bm25_index(commits)
 
 
+def _benchmark_queries(path: str) -> list[evaluation.BenchQuery]:
+    """The benchmark's queries; an empty benchmark is refused, as ``eval
+    budget`` refuses one without answer spans."""
+    queries = evaluation.load_benchmark(path)
+    if not queries:
+        raise ValueError(f"benchmark {path} holds no queries")
+    return queries
+
+
 def cmd_eval_baseline(args: argparse.Namespace) -> int:
     _verify_manifest_arg(args.manifest)
-    queries = evaluation.load_benchmark(args.benchmark)
+    queries = _benchmark_queries(args.benchmark)
     commits, index, bm25_index = _commits_and_indexes(args)
     rows = []
     answered = {"commitdistill": 0, "grep": 0, "bm25": 0}
@@ -189,7 +198,7 @@ def cmd_eval_budget(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_sweep(args: argparse.Namespace) -> int:
-    queries = evaluation.load_benchmark(args.benchmark)
+    queries = _benchmark_queries(args.benchmark)
     commits = gitio.list_commits(args.repo, args.max_commits)
     documents = evaluation.CommitDocuments()
     v1_rows = evaluation.threshold_sweep(documents.index(commits, False), queries, args.thetas)

@@ -15,20 +15,26 @@ import re
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import chain, compress, count, islice
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
 from . import gitio
-from .baselines import bm25_query, grep_search
+from .baselines import bm25_idf, bm25_rank, grep_search
 from .extraction import extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
+    DEFAULT_BOOSTS,
     DEFAULT_THETA,
     EVAL_K,
     Document,
+    Postings,
     RetrievalIndex,
     query,
+    score_documents,
+    tfidf_idf,
+    tokenize,
 )
 
 QUERY_CLASSES = ("ANSWERABLE", "NOT_IN_CORPUS", "OOD", "FACT_STYLE")
@@ -214,25 +220,33 @@ def time_travel_cases(
     For each selected fix the window holds the first ``window_size`` commits,
     in ``git log`` order, whose author dates are strictly earlier; ground
     truth is the window subset that both matches the bug-fix selector and
-    shares a changed file with the fix. The history is read in one git call.
+    shares a changed file with the fix. The whole history is listed in one
+    git call; the file sets come from a second, which runs alongside it and
+    is read only as far as the fixes and their windows reach, so only those
+    commits get ``changed_files``.
     """
-    commits = gitio.list_commits_with_files(repo_path)
     cases: list[TimeTravelCase] = []
-    for fix in commits:
-        if len(cases) == n_fixes:
-            break
-        if not BUG_FIX_RE.search(fix.subject):
-            continue
-        cutoff = fix.author_epoch
-        window = list(islice((c for c in commits if c.author_epoch < cutoff), window_size))
-        truth = {
-            c.sha
-            for c in window
-            if BUG_FIX_RE.search(c.subject) and c.changed_files & fix.changed_files
-        }
-        if not truth:
-            continue
-        cases.append(TimeTravelCase(fix, window, truth))
+    with gitio.ChangedFiles(repo_path) as files:
+        commits = files.commits
+        epochs = [commit.author_epoch for commit in commits]
+        is_fix = [bool(BUG_FIX_RE.search(commit.subject)) for commit in commits]
+        for position, fix in enumerate(commits):
+            if len(cases) == n_fixes:
+                break
+            if not is_fix[position]:
+                continue
+            cutoff = fix.author_epoch
+            reach = list(islice(compress(count(), map(cutoff.__gt__, epochs)), window_size))
+            if not reach:
+                continue
+            files.through(max(position, reach[-1]))
+            truth = {
+                commits[at].sha
+                for at in reach
+                if is_fix[at] and commits[at].changed_files & fix.changed_files
+            }
+            if truth:
+                cases.append(TimeTravelCase(fix, [commits[at] for at in reach], truth))
     if len(cases) < n_fixes:
         raise InsufficientFixes(
             f"found {len(cases)} qualifying bug-fix commits, needed {n_fixes}"
@@ -251,16 +265,29 @@ def score_cases(cases: Sequence[TimeTravelCase], retriever: CommitRetriever) -> 
 
 
 class CommitDocuments:
-    """The CD-v1/CD-v2 indexes, each commit's units extracted once and
-    tokenized at most once, only when a window's query needs them.
+    """The CD-v1/CD-v2 documents, each commit's units extracted once, and
+    tokenized at most once.
 
     The rule units are shared by CD-v1 and CD-v2; CD-v2 adds the subject
-    fallback on rule-silent commits, as extract_commit_units does.
+    fallback on rule-silent commits, as extract_commit_units does. ``index``
+    builds one index over a list of commits, for ``eval baseline``,
+    ``budget`` and ``sweep``, and tokenizes a unit only when a query needs
+    it. ``rank`` serves the time-travel windows from run-wide postings, to
+    which a commit's documents are added, under its sha, when a window first
+    holds it: the rule units in one postings, and the fallback units, which
+    only CD-v2 reads, in another.
     """
 
     def __init__(self) -> None:
         self._rule_docs: dict[str, list[Document]] = {}
         self._fallback_docs: dict[str, list[Document]] = {}
+        self._postings = {False: Postings(), True: Postings()}  # by "is a fallback unit"
+        # Per unit id, (sha, document, is a fallback unit) for each posted
+        # commit that yields it, and the ids that more than one commit yields.
+        self._holders: dict[str, list[tuple[str, Document, bool]]] = {}
+        self._shared: set[str] = set()
+        # Per posted commit, the ids of its units as CD-v1 and as CD-v2 see them.
+        self._ids: dict[bool, dict[str, tuple[str, ...]]] = {False: {}, True: {}}
 
     def _of(self, commit: Commit, fallback_enabled: bool) -> list[Document]:
         if commit.sha not in self._rule_docs:
@@ -274,41 +301,94 @@ class CommitDocuments:
             self._fallback_docs[commit.sha] = [] if unit is None else [Document(unit, unit.content)]
         return self._fallback_docs[commit.sha]
 
-    def owners(
-        self, commits: Sequence[Commit], fallback_enabled: bool
-    ) -> dict[str, tuple[Document, str]]:
-        """Per unit id, its document and the sha of the first of ``commits`` that yields it."""
-        owned: dict[str, tuple[Document, str]] = {}
+    def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
+        """The same index as ``build_index(extract_commits(commits, fallback_enabled))``:
+        per unit id, the document of the first of ``commits`` that yields it."""
+        owned: dict[str, Document] = {}
         for commit in commits:
             for doc in self._of(commit, fallback_enabled):
-                owned.setdefault(doc.item.id, (doc, commit.sha))
-        return owned
+                owned.setdefault(doc.item.id, doc)
+        return RetrievalIndex([owned[uid] for uid in sorted(owned)])
 
-    def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
-        """The same index as ``build_index(extract_commits(commits, fallback_enabled))``."""
-        return _owned_index(self.owners(commits, fallback_enabled))
+    def _add(self, sha: str, docs: list[Document], fallback: bool) -> tuple[str, ...]:
+        """Post one commit's rule or fallback documents; their unit ids."""
+        postings = self._postings[fallback]
+        for doc in docs:
+            postings.add(sha, doc)
+            uid = doc.item.id
+            holders = self._holders.setdefault(uid, [])
+            if holders:
+                self._shared.add(uid)
+            holders.append((sha, doc, fallback))
+        return tuple(doc.item.id for doc in docs)
 
+    def _post(self, commit: Commit) -> None:
+        """Post the commit's documents for both CD-v1 and CD-v2."""
+        rule_ids = self._ids[False].get(commit.sha)
+        if rule_ids is None:
+            rule_ids = self._ids[False][commit.sha] = self._add(
+                commit.sha, self._of(commit, False), False
+            )
+        self._ids[True][commit.sha] = rule_ids or self._add(
+            commit.sha, self._of(commit, True), True
+        )
 
-def _owned_index(owned: dict[str, tuple[Document, str]]) -> RetrievalIndex:
-    return RetrievalIndex([owned[uid][0] for uid in sorted(owned)])
+    def rank(
+        self, window: Sequence[Commit], query_text: str, fallback_enabled: bool, theta: float
+    ) -> list[str]:
+        """The shas of the commits owning the best units for ``query_text``
+        among those ``window`` yields, as ``query`` ranks them over
+        ``index(window, fallback_enabled)``; each sha once, at most EVAL_K.
 
-
-def _cd_run(documents: CommitDocuments, fallback_enabled: bool, theta: float) -> CommitRetriever:
-    def run(window: list[Commit], query_text: str) -> list[str]:
+        A unit belongs to the first commit of the window that yields it,
+        which gives it that commit's document, weight and sha. Only the units
+        that the query's postings reach are resolved; N is the number of
+        distinct unit ids in the window.
+        """
+        ids = self._ids[fallback_enabled]
+        for commit in [c for c in window if c.sha not in ids]:
+            self._post(commit)
+        query_tf = tokenize(query_text)
+        if not query_tf:
+            return []
+        shas = [commit.sha for commit in window]
+        # Each sha's place in the window, the first should the window repeat it.
+        place = dict(zip(reversed(shas), range(len(shas) - 1, -1, -1)))
+        rules, fallbacks = self._postings[False], self._postings[True]
+        sources = (rules, fallbacks) if fallback_enabled else (rules,)
+        owners = {
+            doc.item.id: (sha, doc)
+            for postings in sources
+            for term in query_tf
+            for sha, doc in postings.within(term, place)
+        }
+        for uid in self._shared.intersection(owners):
+            _, sha, doc = min(
+                (
+                    (place[sha], sha, doc)
+                    for sha, doc, fallback in self._holders[uid]
+                    if sha in place and (fallback_enabled or not fallback)
+                ),
+                key=itemgetter(0),
+            )
+            owners[uid] = (sha, doc)
+        # The owner of a shared id may hold none of the terms that reached it.
+        terms = query_tf.keys()
+        held = [(doc, terms & doc.tf.keys()) for _, doc in owners.values()]
+        candidates = [doc for doc, shared in held if shared]
+        df = Counter(chain.from_iterable(shared for _, shared in held))
+        n = len(set(chain.from_iterable(map(ids.__getitem__, shas))))
+        hits = score_documents(candidates, query_tf, tfidf_idf(n, df), theta, DEFAULT_BOOSTS)
         # A hit resolves through the commit owning its unit, not through the
         # unit's 8-digit short sha, which two window commits may share.
-        owned = documents.owners(window, fallback_enabled)
-        hits = query(_owned_index(owned), query_text, k=max(50, EVAL_K), theta=theta)
-        shas: list[str] = []
-        for hit in hits:
-            full = owned[hit.unit.id][1]
-            if full not in shas:
-                shas.append(full)
-            if len(shas) == EVAL_K:
-                break
-        return shas
-
-    return run
+        ranked: list[str] = []
+        for hit in hits[: max(50, EVAL_K)]:
+            sha = owners[hit.unit.id][0]
+            if sha not in ranked:
+                ranked.append(sha)
+                if len(ranked) == EVAL_K:
+                    break
+        return ranked
 
 
 def cd_retriever(fallback_enabled: bool = True, theta: float = DEFAULT_THETA) -> CommitRetriever:
@@ -318,24 +398,45 @@ def cd_retriever(fallback_enabled: bool = True, theta: float = DEFAULT_THETA) ->
 
 def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
     """CD-v1 (rules only) and CD-v2 (with the subject fallback), extracting
-    each window commit once, and tokenizing each unit at most once, for both."""
+    and tokenizing each window commit once for both."""
+    if not theta >= 0:
+        raise ValueError("theta must be >= 0")
     documents = CommitDocuments()
     return {
-        "cd_v1": _cd_run(documents, False, theta),
-        "cd_v2": _cd_run(documents, True, theta),
+        "cd_v1": lambda window, query_text: documents.rank(window, query_text, False, theta),
+        "cd_v2": lambda window, query_text: documents.rank(window, query_text, True, theta),
     }
 
 
 def bm25_retriever() -> CommitRetriever:
-    """BM25 over each window, tokenizing each commit once per retriever."""
-    documents: dict[str, Document] = {}
+    """BM25 over each window, from run-wide postings to which a commit is
+    added, tokenized, when a window first holds it."""
+    lengths: dict[str, int] = {}
+    postings = Postings()
 
     def run(window: list[Commit], query_text: str) -> list[str]:
-        for commit in window:
-            if commit.sha not in documents:
-                documents[commit.sha] = Document(commit, commit.message)
-        index = RetrievalIndex([documents[commit.sha] for commit in window])
-        return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
+        for commit in [c for c in window if c.sha not in lengths]:
+            doc = Document(commit, commit.message)
+            postings.add(commit.sha, doc)
+            lengths[commit.sha] = doc.length
+        query_terms = tokenize(query_text)
+        if not query_terms:
+            return []
+        shas = [commit.sha for commit in window]
+        members = set(shas)
+        df: dict[str, int] = {}
+        candidates: dict[str, Document] = {}
+        for term in query_terms:
+            held = postings.within(term, members)
+            if held:
+                df[term] = len(held)
+                candidates.update(held)
+        if not candidates:
+            return []
+        n = len(window)
+        avgdl = sum(map(lengths.__getitem__, shas)) / n
+        ranked = bm25_rank(candidates.values(), query_terms, bm25_idf(n, df), avgdl, EVAL_K)
+        return [commit.sha for commit, _ in ranked]
 
     return run
 

@@ -84,9 +84,10 @@ class HeuristicRule:
 
     ``keyword`` is the regex whose hits the rule is built around; ``span``
     names how a hit becomes a span (see ``_SPAN_KINDS``). ``triggers`` are
-    lowercase literals of which at least one must appear in the text before
-    the keyword regex is run; they are a scan shortcut only and never change
-    what matches. Rules compare and hash by identity, which keeps the
+    lowercase literals of which at least one must appear in the lowered text
+    before the keyword regex is run; they are a scan shortcut only and never
+    change what matches, since a text holding one of ``_FOLDS_ONTO_ASCII``
+    skips the shortcut. Rules compare and hash by identity, which keeps the
     per-rules cache of distinct triggers cheap to look up.
     """
 
@@ -276,6 +277,12 @@ DEFAULT_RULES: tuple[HeuristicRule, ...] = tuple(
 )
 
 
+# The characters that re.IGNORECASE matches against ASCII letters but
+# str.lower does not lower onto them: İ and ı against "i", ſ against "s" and
+# the Kelvin sign against "k". A message holding one runs every rule.
+_FOLDS_ONTO_ASCII = ("\u0130", "\u0131", "\u017f", "\u212a")
+
+
 @lru_cache(maxsize=64)
 def _distinct_triggers(rules: tuple[HeuristicRule, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(trigger for rule in rules for trigger in rule.triggers))
@@ -410,20 +417,25 @@ def extract_units(
     """Run the rules over normalized text; dedupe by id, keep rule order.
 
     One sweep finds which triggers the text holds; only the rules with one of
-    them run, over sentence boundaries found once.
+    them run, over sentence boundaries found once. A text holding one of
+    ``_FOLDS_ONTO_ASCII`` runs every rule, since its keywords can match where
+    no trigger is found.
     """
     if not rules:
         raise ValueError("rules must be nonempty")
     normalized = normalize(text)
-    lowered = normalized.lower()
-    present = {trigger for trigger in _distinct_triggers(rules) if trigger in lowered}
-    if not present:
-        return []
+    if any(char in normalized for char in _FOLDS_ONTO_ASCII):
+        present = None  # every rule runs
+    else:
+        lowered = normalized.lower()
+        present = {trigger for trigger in _distinct_triggers(rules) if trigger in lowered}
+        if not present:
+            return []
     bounds = [match.start() for match in _BOUNDARY_RE.finditer(normalized)]
     units: list[KnowledgeUnit] = []
     seen: set[str] = set()
     for rule in rules:
-        if present.isdisjoint(rule.triggers):
+        if present is not None and present.isdisjoint(rule.triggers):
             continue
         hits = _keyword_hits(rule, normalized)
         for capture, start, end in _SPAN_KINDS[rule.span](normalized, bounds, hits):

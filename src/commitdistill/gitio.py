@@ -7,8 +7,10 @@ bytes are rejected rather than silently corrupted.
 """
 from __future__ import annotations
 
+import codecs
 import re
 import subprocess
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +20,9 @@ RECORD_SEP = "\x1e"
 # ``--name-only`` prints after the record land in a field of their own.
 _LOG_FORMAT = RECORD_SEP + FIELD_SEP.join(["%H", "%an", "%at", "%ad", "%s", "%b", ""])
 _LOG_FIELDS = 7
+# Bytes asked of the file-list stream per read; a read returns what the pipe
+# holds, so git runs at most a pipe's worth ahead of what is asked.
+_FILES_CHUNK = 1 << 16
 
 _SHA_RE = re.compile(r"[0-9a-f]{40}")
 _ISSUE_REF_RE = re.compile(r"\(?#\d+\)?")
@@ -144,12 +149,16 @@ def _read_log(path: Path, max_count: int | None, with_files: bool) -> list[Commi
     """
     if not _has_commits(path):
         return []
+    return _parse_log(_run_git(_log_args(max_count, with_files), path), with_files)
+
+
+def _log_args(max_count: int | None, with_files: bool) -> list[str]:
     args = ["log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}"]
     if with_files:
         args += ["--diff-merges=first-parent", "--name-only"]
     if max_count is not None:
         args += ["-n", str(max_count)]
-    return _parse_log(_run_git(args, path), with_files)
+    return args
 
 
 def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:
@@ -175,6 +184,92 @@ def changed_files_map(
 ) -> dict[str, set[str]]:
     """First-parent changed-file sets for many commits in one git call."""
     return {c.sha: c.changed_files for c in list_commits_with_files(repo_path, max_count)}
+
+
+class ChangedFiles:
+    """A whole newest-first listing of the repository, ``commits``, and the
+    first-parent name-only file sets of its commits, read from a second
+    ``git log`` only as far as ``through`` asks.
+
+    The second git starts first, so that it runs ahead while the listing is
+    read. Its stream is parsed in chunks, and each commit it lists must be the
+    listing's commit at the same position, or GitError is raised. Use it as a
+    context manager: leaving it closes the stream, kills git and reaps it.
+    """
+
+    def __init__(self, repo_path: Path | str) -> None:
+        self.commits: list[Commit] = []
+        self._read = 0  # commits[:_read] have their changed_files set
+        self._proc: subprocess.Popen | None = None
+        self._errors = None
+        self._decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
+        self._tail = ""
+        path = _ensure_repo(repo_path)
+        if not _has_commits(path):
+            return
+        self._errors = tempfile.TemporaryFile()
+        self._proc = subprocess.Popen(
+            ["git", "log", f"--pretty=format:{RECORD_SEP}%H", "--diff-merges=first-parent", "--name-only"],
+            cwd=str(path), stdout=subprocess.PIPE, stderr=self._errors,
+        )
+        try:
+            self.commits = _parse_log(_run_git(_log_args(None, with_files=False), path), with_files=False)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "ChangedFiles":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return
+        try:
+            proc.stdout.close()
+        finally:
+            proc.kill()
+            proc.wait()
+            self._errors.close()
+
+    def through(self, position: int) -> None:
+        """Set ``changed_files`` on every commit up to ``position``."""
+        while self._read <= position:
+            chunk = self._proc.stdout.read1(_FILES_CHUNK)
+            records = (self._tail + self._decoder.decode(chunk, final=not chunk)).split(RECORD_SEP)
+            self._tail = records.pop() if chunk else ""
+            for record in records:
+                if record:
+                    self._take(record)
+            if not chunk:
+                self._end(position)
+
+    def _take(self, record: str) -> None:
+        sha, *names = record.splitlines()
+        commits = self.commits
+        if self._read >= len(commits) or commits[self._read].sha != sha:
+            listed = commits[self._read].sha if self._read < len(commits) else "no commit"
+            raise GitError(
+                f"git log listed {sha} at position {self._read}, where the first read listed {listed}"
+            )
+        commits[self._read].changed_files = {name for name in names if name}
+        self._read += 1
+
+    def _end(self, position: int) -> None:
+        """The stream ended before ``position``: git failed or listed too few."""
+        if self._read > position:
+            return
+        code = self._proc.wait()
+        self._errors.seek(0)
+        detail = self._errors.read().decode("utf-8", "replace").strip()
+        if code != 0:
+            raise GitError(detail or f"git log exited {code}")
+        raise GitError(
+            f"git log listed {self._read} commits, where the first read listed {len(self.commits)}"
+        )
 
 
 def clean_subject(subject: str) -> str:

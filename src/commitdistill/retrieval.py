@@ -9,13 +9,18 @@ Scoring: for each document sharing at least one term with the query,
 
 and only documents with s >= theta are returned. An empty result is the
 abstention contract, not an error.
+
+``score_documents`` is that scoring, shared by ``query`` over a
+``RetrievalIndex`` and by the time-travel CD retrievers, which search each
+window through run-wide ``Postings`` instead of an index of its own.
+``tokenize`` splits each distinct word once per process and keeps its tokens.
 """
 from __future__ import annotations
 
 import math
 import re
 from bisect import bisect_right
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any
@@ -135,23 +140,58 @@ class RetrievalIndex:
         return found
 
 
+class Postings:
+    """Postings that grow as documents are added: per term, the (key,
+    document) pairs holding it, in the order they were added. A subset of
+    the documents is searched through a membership test on their keys, with
+    no index of its own."""
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: defaultdict[str, list[tuple[Any, Document]]] = defaultdict(list)
+
+    def add(self, key: Any, doc: Document) -> None:
+        """Post ``doc`` under ``key``, tokenizing it if it is not yet."""
+        entries = self._entries
+        pair = (key, doc)
+        for term in doc.terms():
+            entries[term].append(pair)
+
+    def within(self, term: str, members) -> list[tuple[Any, Document]]:
+        """The pairs holding ``term`` whose key is in ``members``."""
+        return [entry for entry in self._entries.get(term, ()) if entry[0] in members]
+
+
+# Per distinct raw word, its tokens; see ``tokenize``. Entries are computed
+# whole and stored in one assignment, so concurrent callers stay safe.
+_WORD_TOKENS: dict[str, list[str]] = {}
+
+
+def _word_tokens(raw: str) -> list[str]:
+    lowered = raw.lower()
+    parts = _CAMEL_RE.findall(raw)
+    if len(parts) > 1 or (parts and parts[0].lower() != lowered):
+        return [lowered, *[part.lower() for part in parts if not part.isdigit()]]
+    return [lowered]
+
+
 def tokenize(text: str) -> Counter:
     """Lower-cased word tokens; identifiers also contribute their pieces.
 
     A decomposable identifier keeps its original (lower-cased) form alongside
-    the constituent words; purely numeric pieces are dropped.
+    the constituent words; purely numeric pieces are dropped. Each distinct
+    word is split once per process and its tokens kept, so the cache grows
+    with the vocabulary of the texts tokenized.
     """
-    counts: Counter = Counter()
+    known = _WORD_TOKENS
+    tokens: list[str] = []
     for raw in _WORD_RE.findall(text):
-        lowered = raw.lower()
-        parts = _CAMEL_RE.findall(raw)
-        decomposed = len(parts) > 1 or (parts and parts[0].lower() != lowered)
-        counts[lowered] += 1
-        if decomposed:
-            for part in parts:
-                if not part.isdigit():
-                    counts[part.lower()] += 1
-    return counts
+        pieces = known.get(raw)
+        if pieces is None:
+            pieces = known[raw] = _word_tokens(raw)
+        tokens += pieces
+    return Counter(tokens)
 
 
 def build_index(units) -> RetrievalIndex:
@@ -172,6 +212,48 @@ def lookup(index: RetrievalIndex, terms) -> tuple[dict[str, int], set[int]]:
     return df, candidates
 
 
+def tfidf_idf(n: int, df: dict[str, int]) -> dict[str, float]:
+    """idf = log(N / df) for each term of ``df`` in a corpus of ``n``
+    documents. A single-document corpus gets add-one smoothing
+    (log((N+1)/df)) so the degenerate corpus stays retrievable."""
+    numerator = n + 1 if n == 1 else n
+    return {term: math.log(numerator / count) for term, count in df.items()}
+
+
+# 1 + log(tf) for the term counts that occur most, computed once.
+_LOG_TF = [0.0] + [1.0 + math.log(tf) for tf in range(1, 64)]
+
+
+def score_documents(
+    documents, query_tf: Counter, idf: dict[str, float], theta: float, boosts: BoostTable
+) -> list[RankedHit]:
+    """The hits among ``documents`` scoring at least theta, best first, ties
+    on ascending unit id. Each document's ``tf`` must be filled, and ``idf``
+    must hold every query term that a document holds. A document's shared
+    terms are summed in ``query_tf``'s order."""
+    weights = [
+        (term, 1.0 + math.log(query_freq), idf[term])
+        for term, query_freq in query_tf.items()
+        if term in idf
+    ]
+    log_tf = _LOG_TF
+    hits: list[RankedHit] = []
+    for doc in documents:
+        tf = doc.tf
+        score = 0.0
+        for term, query_weight, term_idf in weights:
+            doc_freq = tf.get(term)
+            if doc_freq:
+                tf_weight = log_tf[doc_freq] if doc_freq < 64 else 1.0 + math.log(doc_freq)
+                score += tf_weight * query_weight * term_idf
+        score /= math.sqrt(max(1, doc.length))
+        score *= boosts.for_type(doc.item.unit_type) * (0.5 + 0.5 * doc.item.weight)
+        if score >= theta:
+            hits.append(RankedHit(doc.item, score))
+    hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
+    return hits
+
+
 def query(
     index: RetrievalIndex,
     q: str,
@@ -188,27 +270,6 @@ def query(
     if not query_tf:
         return []
     df, candidates = lookup(index, query_tf)
-    # A single-document corpus gets add-one smoothing (log((N+1)/df)) so the
-    # degenerate corpus stays retrievable.
-    n = len(index.documents)
-    numerator = n + 1 if n == 1 else n
-    idf = {term: math.log(numerator / count) for term, count in df.items()}
-    hits: list[RankedHit] = []
-    for doc_index in candidates:
-        doc = index.documents[doc_index]
-        score = 0.0
-        for term, query_freq in query_tf.items():
-            doc_freq = doc.tf.get(term)
-            if doc_freq:
-                score += (
-                    (1.0 + math.log(doc_freq))
-                    * (1.0 + math.log(query_freq))
-                    * idf[term]
-                )
-        score /= math.sqrt(max(1, doc.length))
-        score *= boosts.for_type(doc.item.unit_type) * (0.5 + 0.5 * doc.item.weight)
-        if score >= theta:
-            hits.append(RankedHit(doc.item, score))
-    hits.sort(key=lambda hit: (-hit.score, hit.unit.id))
-    return hits[:k]
-
+    documents = index.documents
+    idf = tfidf_idf(len(documents), df)
+    return score_documents([documents[i] for i in candidates], query_tf, idf, theta, boosts)[:k]

@@ -218,6 +218,14 @@ def load(root: Path | str) -> KnowledgeStore:
     for entry in entries:
         unit = KnowledgeUnit.from_dict(entry)
         store.units[unit.id] = unit
+    if len(store.units) < len(entries):  # an id repeats: name the first repeat
+        first: dict[str, int] = {}
+        for position, entry in enumerate(entries):
+            earlier = first.setdefault(entry["id"], position)
+            if earlier != position:
+                raise ValueError(
+                    f"knowledge store {path}: unit {position} repeats the id {entry['id']!r} of unit {earlier}"
+                )
     return store
 
 

@@ -14,10 +14,14 @@ builder and the distilled-store retriever that the shared, cached ones in
 scores every query once per theta. The ``eval`` payload
 oracles compose the library calls one command at a time, each building its
 own commits, units and indexes, so that the files the CLI writes can be
-compared byte for byte. ``tokenize_oracle`` (which splits identifiers at
-``_`` before the camel-case split) and ``normalize_oracle`` (a closed-fence
-pass, then an open-fence pass) are the earlier text passes that
-``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly,
+compared byte for byte. ``CommitDocumentsOracle`` with
+``cd_retrievers_per_window_oracle``, and ``bm25_retriever_per_window_oracle``,
+are the per-window indexes that the run-wide postings of
+``CommitDocuments.rank`` and ``bm25_retriever`` replaced. ``tokenize_oracle``
+(which splits identifiers at ``_`` before the camel-case split),
+``tokenize_uncached_oracle`` (every word split anew) and ``normalize_oracle``
+(a closed-fence pass, then an open-fence pass) are the earlier text passes
+that ``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly,
 and ``extract_units_oracle``, the nine written-out ``RULES_ORACLE`` regexes each
 scanned over the whole message, is the rule engine that the sentence-first
 ``extraction.extract_units`` must reproduce unit for unit. ``store_bytes_oracle``
@@ -35,8 +39,8 @@ from typing import Any
 
 from commitdistill import evaluation as ev
 from commitdistill import extraction as ex
-from commitdistill import gitio, store
-from commitdistill.baselines import grep_search
+from commitdistill import gitio, retrieval, store
+from commitdistill.baselines import bm25_query, grep_search
 from commitdistill.extraction import KnowledgeUnit, extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
@@ -78,6 +82,22 @@ def tokenize_oracle(text: str) -> Counter:
     for raw in re.findall(r"\w+", text):
         lowered = raw.lower()
         parts = split_identifier(raw)
+        decomposed = len(parts) > 1 or (parts and parts[0].lower() != lowered)
+        counts[lowered] += 1
+        if decomposed:
+            for part in parts:
+                if not part.isdigit():
+                    counts[part.lower()] += 1
+    return counts
+
+
+def tokenize_uncached_oracle(text: str) -> Counter:
+    """``retrieval.tokenize`` before it kept each word's tokens: every word
+    split anew, counted straight into the Counter."""
+    counts: Counter = Counter()
+    for raw in re.findall(r"\w+", text):
+        lowered = raw.lower()
+        parts = _CAMEL_RE.findall(raw)
         decomposed = len(parts) > 1 or (parts and parts[0].lower() != lowered)
         counts[lowered] += 1
         if decomposed:
@@ -134,17 +154,14 @@ RULES_ORACLE_COMPILED = tuple(
 
 def extract_units_oracle(text: str, meta: dict[str, str]) -> list[KnowledgeUnit]:
     """The rule engine before sentence-first spans: each rule's written-out
-    regex scanned over the whole normalized message with ``finditer``, behind
-    the rule's own substring triggers."""
+    regex scanned over the whole normalized message with ``finditer``. No
+    trigger shortcut: every rule scans every message."""
     normalized = normalize_oracle(text)
     if not normalized:
         return []
-    lowered = normalized.lower()
     units: list[KnowledgeUnit] = []
     seen: set[str] = set()
-    for _name, unit_type, prior, triggers, pattern in RULES_ORACLE_COMPILED:
-        if not any(trigger in lowered for trigger in triggers):
-            continue
+    for _name, unit_type, prior, _triggers, pattern in RULES_ORACLE_COMPILED:
         for match in pattern.finditer(normalized):
             content = match.group(1).strip()
             if unit_type == "pattern":
@@ -464,6 +481,74 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
             if len(shas) == EVAL_K:
                 break
         return shas
+
+    return run
+
+
+class CommitDocumentsOracle:
+    """The per-window path that the run-wide postings replaced: per case, a
+    walk over the whole window for the owner of each unit id, and a fresh
+    ``RetrievalIndex`` over the owners' documents."""
+
+    def __init__(self) -> None:
+        self._rule_docs: dict = {}
+        self._fallback_docs: dict = {}
+
+    def _of(self, commit, fallback_enabled: bool):
+        if commit.sha not in self._rule_docs:
+            units = extract_commit_units(commit, fallback_enabled=False)
+            self._rule_docs[commit.sha] = [retrieval.Document(unit, unit.content) for unit in units]
+        docs = self._rule_docs[commit.sha]
+        if docs or not fallback_enabled:
+            return docs
+        if commit.sha not in self._fallback_docs:
+            unit = ex.subject_fallback_unit(commit)
+            self._fallback_docs[commit.sha] = [] if unit is None else [retrieval.Document(unit, unit.content)]
+        return self._fallback_docs[commit.sha]
+
+    def owners(self, commits, fallback_enabled: bool) -> dict:
+        owned: dict = {}
+        for commit in commits:
+            for doc in self._of(commit, fallback_enabled):
+                owned.setdefault(doc.item.id, (doc, commit.sha))
+        return owned
+
+
+def cd_retrievers_per_window_oracle(theta: float = DEFAULT_THETA) -> dict:
+    """CD-v1 and CD-v2 sharing one ``CommitDocumentsOracle``, each window
+    indexed on its own and searched with ``retrieval.query``."""
+    documents = CommitDocumentsOracle()
+
+    def run_for(fallback_enabled: bool):
+        def run(window, query_text: str) -> list[str]:
+            owned = documents.owners(window, fallback_enabled)
+            index = retrieval.RetrievalIndex([owned[uid][0] for uid in sorted(owned)])
+            hits = retrieval.query(index, query_text, k=max(50, EVAL_K), theta=theta)
+            shas: list[str] = []
+            for hit in hits:
+                full = owned[hit.unit.id][1]
+                if full not in shas:
+                    shas.append(full)
+                if len(shas) == EVAL_K:
+                    break
+            return shas
+
+        return run
+
+    return {"cd_v1": run_for(False), "cd_v2": run_for(True)}
+
+
+def bm25_retriever_per_window_oracle():
+    """BM25 with a fresh ``RetrievalIndex`` per window, searched with
+    ``baselines.bm25_query``; each commit's document is kept across windows."""
+    documents: dict = {}
+
+    def run(window, query_text: str) -> list[str]:
+        for commit in window:
+            if commit.sha not in documents:
+                documents[commit.sha] = retrieval.Document(commit, commit.message)
+        index = retrieval.RetrievalIndex([documents[commit.sha] for commit in window])
+        return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
 
     return run
 

@@ -172,6 +172,8 @@ class TestStoreFile:
             pytest.param(_one_unit_store(meta=[["commit", "0123abcd"]]), "unit 1 has a non-object meta",
                          id="meta-array"),
             pytest.param(_one_unit_store(meta="0123abcd"), "unit 1 has a non-object meta", id="meta-string"),
+            pytest.param(_one_unit_store(content="another fact"), "unit 1 repeats the id '0123456789ab' of unit 0",
+                         id="id-repeated"),
         ],
     )
     def test_malformed_store_is_a_one_line_error(self, tmp_path, capsys, text, problem):
@@ -473,6 +475,23 @@ class TestInputFileErrors:
         assert err.count("\n") == 1
         assert str(bad) in err
         assert problem in err
+
+    @pytest.mark.parametrize(
+        "experiment, problem",
+        [("baseline", "holds no queries"), ("sweep", "holds no queries"), ("budget", "has no queries with answer spans")],
+    )
+    def test_empty_benchmark_exits_2(self, calibration_repo, tmp_path, capsys, experiment, problem):
+        repo, _ = calibration_repo
+        empty = tmp_path / "empty.json"
+        empty.write_text("[]", encoding="utf-8")
+        out_dir = tmp_path / "out"
+        assert run_cli(
+            "eval", experiment, "--repo", str(repo), "--benchmark", str(empty), "--out", str(out_dir)
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert f"benchmark {empty} {problem}" in err
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize(
         "content, problem",

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import math
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -12,10 +13,13 @@ from commitdistill import gitio
 from commitdistill.extraction import extract_commits
 from commitdistill.retrieval import build_index, query
 
+from conftest import build_fast_repo
 from oracles import (
     author_datetime,
     bm25_retriever_oracle,
+    bm25_retriever_per_window_oracle,
     cd_retriever_oracle,
+    cd_retrievers_per_window_oracle,
     metrics_oracle,
     threshold_sweep_oracle,
     time_travel_cases_oracle,
@@ -288,6 +292,81 @@ class TestTimeTravelAgainstOracle:
             pair = ev.cd_retrievers(theta=theta)
             for name in order:
                 assert _rankings(cases, pair[name]) == want[name], name
+
+
+    @pytest.mark.parametrize("theta", [0.0, 2.5])
+    def test_rankings_match_the_per_window_indexes(self, request, fixture, n_fixes, window, theta):
+        repo, _ = request.getfixturevalue(fixture)
+        cases = ev.time_travel_cases(repo, n_fixes, window)
+        want = {"bm25": bm25_retriever_per_window_oracle(), **cd_retrievers_per_window_oracle(theta)}
+        got = {"bm25": ev.bm25_retriever(), **ev.cd_retrievers(theta)}
+        for name in ("bm25", "cd_v2", "cd_v1"):
+            assert _rankings(cases, got[name]) == _rankings(cases, want[name]), name
+
+
+_QUERY_WORDS = ("pool", "connectionpool", "drained", "shutdown", "cache", "fix", "core", "hang", "race", "the")
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_run_wide_postings_match_per_window_indexes_on_any_windows(shared_unit_repo, skewed_dates_repo, data):
+    """Windows in any order and of any make-up, one after another on the same
+    retrievers: each ranks as a fresh index over that window alone."""
+    commits = [c for repo in (shared_unit_repo, skewed_dates_repo) for c in gitio.list_commits(repo[0])]
+    theta = data.draw(st.sampled_from([0.0, 1.0, 2.5]))
+    got = {"bm25": ev.bm25_retriever(), **ev.cd_retrievers(theta)}
+    want = {"bm25": bm25_retriever_per_window_oracle(), **cd_retrievers_per_window_oracle(theta)}
+    for _ in range(3):
+        window = data.draw(st.lists(st.sampled_from(commits), unique_by=lambda c: c.sha, max_size=len(commits)))
+        text = " ".join(data.draw(st.lists(st.sampled_from(_QUERY_WORDS), min_size=1, max_size=4)))
+        for name in data.draw(st.permutations(list(got))):
+            assert got[name](window, text) == want[name](window, text), name
+
+
+def _recording_popen(monkeypatch) -> list[subprocess.Popen]:
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
+@pytest.mark.parametrize("n_fixes", [3, 10], ids=["cases", "insufficient"])
+def test_time_travel_cases_reap_every_git_child(timetravel_repo, monkeypatch, n_fixes):
+    started = _recording_popen(monkeypatch)
+    repo, _ = timetravel_repo
+    if n_fixes == 10:
+        with pytest.raises(ev.InsufficientFixes):
+            ev.time_travel_cases(repo, n_fixes, 100)
+    else:
+        assert len(ev.time_travel_cases(repo, n_fixes, 100)) == 3
+    assert sum("--name-only" in proc.args for proc in started) == 1
+    assert all(proc.returncode is not None for proc in started)
+
+
+def test_file_lists_are_read_only_as_far_as_the_cases_reach(tmp_path, monkeypatch):
+    # 6,000 commits print about 300 kB of file lists, several pipes' worth
+    repo = build_fast_repo(tmp_path / "repo", [f"fix cache race {n}" for n in range(6000)])
+    readers: list[gitio.ChangedFiles] = []
+
+    class Recording(gitio.ChangedFiles):
+        def __init__(self, repo_path):
+            super().__init__(repo_path)
+            readers.append(self)
+
+    monkeypatch.setattr(gitio, "ChangedFiles", Recording)
+    started = _recording_popen(monkeypatch)
+    (case,) = ev.time_travel_cases(repo, n_fixes=1, window_size=7)
+    commits = readers[0].commits
+    assert len(commits) == 6000
+    assert case.fix is commits[0] and case.window == commits[1:8]
+    assert all(commit.changed_files is not None for commit in commits[:8])
+    assert commits[-1].changed_files is None
+    assert all(proc.returncode is not None for proc in started)
 
 
 def test_shared_unit_belongs_to_first_commit_in_window(shared_unit_repo):

@@ -102,6 +102,9 @@ _RULE_FRAGMENTS = (
     "infinite loop", "infinite\nloop", "regression in", "broke since", "breaks after", "broken\nwhen",
     "breaker", "v1.2", "```code```", "```", "`x`", ": ", ":", ". ", ".", "! ", "? ", "\n", " ",
     "the parser", "pin the resolver to the cache", "a", "#123", "caused by", "today",
+    # re.IGNORECASE folds these onto ASCII letters; str.lower does not.
+    "\u0130", "\u0131", "\u017f", "\u212a", "\u017fhould", "\u0130mportant:", "ıs equivalent to",
+    "bro\u212ae since",
 )
 _rule_text = st.lists(st.sampled_from(_RULE_FRAGMENTS), max_size=24).map(" ".join)
 
@@ -110,6 +113,7 @@ _rule_text = st.lists(st.sampled_from(_RULE_FRAGMENTS), max_size=24).map(" ".joi
 @settings(max_examples=300, deadline=None)
 @given(text=_rule_text)
 @example(text="Tidy up.\nthe scheduler breaks after a reload of the cache")
+@example(text="You \u017fhould reset the pool before reuse in this path.")
 def test_triggers_never_change_what_matches(rule, text: str):
     always_open = dataclasses.replace(rule, triggers=("",))
     assert ex.extract_units(text, META, rules=(rule,)) == ex.extract_units(text, META, rules=(always_open,))

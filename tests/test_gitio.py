@@ -155,6 +155,55 @@ def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBu
     ]
 
 
+def _history_with_merge_and_root(repo_builder: RepoBuilder) -> None:
+    repo_builder.commit("root", files={"a.py": "1\n"})
+    repo_builder.commit("two", files={"a.py": "2\n", "b.py": "1\n"})
+    run_git(repo_builder.path, "checkout", "-q", "-b", "side")
+    repo_builder.commit("side work", files={"side.txt": "side\n"})
+    run_git(repo_builder.path, "checkout", "-q", "main")
+    repo_builder.commit("empty", files={})
+    run_git(repo_builder.path, "merge", "-q", "--no-ff", "-m", "merge side", "side")
+    repo_builder.commit("after merge", files={"b.py": "2\n", "c.py": "1\n"})
+
+
+def test_lazy_file_lists_match_the_one_pass_read(repo_builder: RepoBuilder):
+    _history_with_merge_and_root(repo_builder)
+    want = gitio.list_commits_with_files(repo_builder.path)
+    assert want[1].subject == "merge side" and want[-1].subject == "root"
+    assert gitio.ChangedFiles(repo_builder.path).close() is None  # closing unread is fine
+    for reach in range(len(want)):
+        with gitio.ChangedFiles(repo_builder.path) as files:
+            assert [c.sha for c in files.commits] == [c.sha for c in want]
+            files.through(reach)
+        assert all(commit.changed_files is not None for commit in files.commits[: reach + 1])
+        for got, expected in zip(files.commits, want):
+            if got.changed_files is not None:  # every commit read, not only those asked for
+                assert got == expected
+
+
+def test_lazy_file_lists_refuse_another_history(repo_builder: RepoBuilder):
+    _history_with_merge_and_root(repo_builder)
+    with gitio.ChangedFiles(repo_builder.path) as files:
+        first, second = files.commits[1:3]
+        files.commits[1:3] = [second, first]
+        with pytest.raises(GitError, match=f"listed {first.sha} at position 1, where the first read listed {second.sha}"):
+            files.through(2)
+    with gitio.ChangedFiles(repo_builder.path) as files:
+        files.commits.append(gitio.Commit("0" * 40, "x", "2023-01-01T00:00:00+00:00", 0, "x", ""))
+        listed = len(files.commits)
+        with pytest.raises(GitError, match=f"listed {listed - 1} commits, where the first read listed {listed}"):
+            files.through(listed - 1)
+
+
+def test_lazy_file_lists_of_empty_and_missing_repositories(tmp_path):
+    empty = tmp_path / "empty"
+    run_git(tmp_path, "init", "-q", str(empty))
+    with gitio.ChangedFiles(empty) as files:
+        assert files.commits == []
+    with pytest.raises(GitError, match="repository not found"):
+        gitio.ChangedFiles(tmp_path / "nope")
+
+
 def test_utc_z_suffix_reads_as_utc():
     assert as_datetime("2023-01-02T10:00:00Z") == as_datetime("2023-01-02T10:00:00+00:00")
 

@@ -15,6 +15,7 @@ from oracles import (
     query_oracle,
     tfidf_oracle,
     tokenize_oracle,
+    tokenize_uncached_oracle,
 )
 from test_baselines import make_commit
 from test_store import make_unit
@@ -62,6 +63,18 @@ _identifier_text = st.text(alphabet="_aBzXYZ09 .-éÉßΩİǅ", max_size=60)
 def test_tokenize_matches_split_at_underscore(text: str):
     # equal items in the same order: query scores sum over the terms in order
     assert list(tokenize(text).items()) == list(tokenize_oracle(text).items())
+
+
+@settings(max_examples=1000)
+@given(st.lists(st.one_of(_identifier_text, st.text(max_size=12)), max_size=6).map(
+    lambda parts: " ".join(parts + parts[:2])
+))
+@example("HTTPServer http2Handler HTTPServer ǅemal İstanbul ﬁle ﬁle x_1_y")
+def test_tokenize_matches_the_uncached_split(text: str):
+    # each word's tokens are kept after its first split; a second call reads them
+    first = tokenize(text)
+    assert list(first.items()) == list(tokenize_uncached_oracle(text).items())
+    assert list(tokenize(text).items()) == list(first.items())
 
 
 @settings(max_examples=1000)

@@ -177,3 +177,14 @@ def test_save_writes_the_oracle_bytes(units):
     knowledge_store = store.KnowledgeStore({unit.id: unit for unit in units})
     with tempfile.TemporaryDirectory() as root:
         assert store.save(knowledge_store, root).read_bytes() == store_bytes_oracle(knowledge_store)
+
+
+def test_load_refuses_a_repeated_id(tmp_path, sample_store):
+    path = store.save(sample_store, tmp_path)
+    payload = json.loads(path.read_text(encoding="utf-8"))
+    first = payload["units"][0]
+    payload["units"].append({**first, "content": first["content"] + " again"})
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    last = len(payload["units"]) - 1
+    with pytest.raises(ValueError, match=f"unit {last} repeats the id '{first['id']}' of unit 0$"):
+        store.load(tmp_path)
