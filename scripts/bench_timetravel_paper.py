@@ -3,9 +3,10 @@
     python3 scripts/bench_timetravel_paper.py --after . [--before ../parent] \
         --rounds 5 --out .
 
-The history is the benchmark's ``query`` workload (10k commits) generated
-with ``bench/gen.py`` at ``--seed``; the run takes ``--fixes`` cases (40)
-with windows of ``--window`` commits (5,000), as the paper's protocol does.
+The protocol is fixed, so that every entry of the file compares with every
+other: the history is the benchmark's ``query`` workload (10k commits)
+generated with ``bench/gen.py`` at seed 1, and the run takes 40 cases with
+windows of 5,000 commits, as the paper's protocol does, at theta 2.5.
 Each round starts one fresh interpreter per checkout, the side that runs
 first alternating from round to round. The interpreter times building the
 cases and each of the four retrievers, in the order and with the sharing
@@ -31,6 +32,11 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+SEED = 1
+FIXES = 40
+WINDOW = 5000
+THETA = 2.5
 
 MEASURE = r"""
 import json, sys, time
@@ -71,19 +77,19 @@ def _describe(checkout: Path) -> dict:
     return {"sha": sha, "dirty": dirty}
 
 
-def _generate(checkout: Path, seed: int, work: Path) -> tuple[Path, dict[str, str]]:
+def _generate(checkout: Path, work: Path) -> tuple[Path, dict[str, str]]:
     """The ``query`` workload's history, written by the checkout's generator."""
     sys.path.insert(0, str(checkout / "bench"))
     import run  # bench/run.py: the workload table and the git environment
 
     env = run.program_env(work)
     spec = run.WORKLOADS["query"].main
-    return run.gen.write_repo(spec.generate(seed), work / "repo", env), env
+    return run.gen.write_repo(spec.generate(SEED), work / "repo", env), env
 
 
-def _measure(checkout: Path, repo: Path, env: dict, args: argparse.Namespace) -> dict:
+def _measure(checkout: Path, repo: Path, env: dict) -> dict:
     proc = subprocess.run(
-        [sys.executable, "-c", MEASURE, str(repo), str(args.fixes), str(args.window), str(args.theta)],
+        [sys.executable, "-c", MEASURE, str(repo), str(FIXES), str(WINDOW), str(THETA)],
         env={**env, "PYTHONPATH": str(checkout / "src")}, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -108,10 +114,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--after", type=Path, required=True, help="checkout under test")
     parser.add_argument("--before", type=Path, help="checkout to compare with, e.g. the parent")
     parser.add_argument("--rounds", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--fixes", type=int, default=40)
-    parser.add_argument("--window", type=int, default=5000)
-    parser.add_argument("--theta", type=float, default=2.5)
     parser.add_argument("--out", type=Path, required=True, help="directory of the BENCH file")
     args = parser.parse_args(argv)
 
@@ -120,12 +122,12 @@ def main(argv: list[str] | None = None) -> int:
         sides["before"] = args.before.resolve()
     work = Path(tempfile.mkdtemp(prefix="bench-timetravel-paper-"))
     try:
-        repo, env = _generate(sides["after"], args.seed, work)
+        repo, env = _generate(sides["after"], work)
         runs: dict[str, list[dict]] = {side: [] for side in sides}
         for position in range(args.rounds):
             order = ["before", "after"] if position % 2 == 0 else ["after", "before"]
             for side in (side for side in order if side in sides):
-                result = _measure(sides[side], repo, env, args)
+                result = _measure(sides[side], repo, env)
                 runs[side].append(result)
                 print(f"round {position} {side}: "
                       + " ".join(f"{k}={v:.3f}" for k, v in result["timings"].items()), file=sys.stderr)
@@ -136,8 +138,8 @@ def main(argv: list[str] | None = None) -> int:
     git = subprocess.run(["git", "--version"], capture_output=True, text=True).stdout.strip()
     entry = {
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "history": "query workload", "seed": args.seed, "fixes": args.fixes,
-        "window": args.window, "theta": args.theta, "rounds": args.rounds,
+        "history": "query workload", "seed": SEED, "fixes": FIXES,
+        "window": WINDOW, "theta": THETA, "rounds": args.rounds,
         "machine": {
             "python": platform.python_version(), "git": git.removeprefix("git version "),
             "cores": os.cpu_count(), "platform": platform.platform(),

@@ -275,7 +275,7 @@ class CommitDocuments:
     it. ``rank`` serves the time-travel windows from run-wide postings, to
     which a commit's documents are added, under its sha, when a window first
     holds it: the rule units in one postings, and the fallback units, which
-    only CD-v2 reads, in another.
+    only CD-v2 reads and which only a CD-v2 window extracts, in another.
     """
 
     def __init__(self) -> None:
@@ -322,16 +322,15 @@ class CommitDocuments:
             holders.append((sha, doc, fallback))
         return tuple(doc.item.id for doc in docs)
 
-    def _post(self, commit: Commit) -> None:
-        """Post the commit's documents for both CD-v1 and CD-v2."""
-        rule_ids = self._ids[False].get(commit.sha)
+    def _post(self, commit: Commit, fallback_enabled: bool) -> None:
+        """Post the commit's rule documents, once, and with ``fallback_enabled``
+        its fallback document should the rules find nothing."""
+        sha = commit.sha
+        rule_ids = self._ids[False].get(sha)
         if rule_ids is None:
-            rule_ids = self._ids[False][commit.sha] = self._add(
-                commit.sha, self._of(commit, False), False
-            )
-        self._ids[True][commit.sha] = rule_ids or self._add(
-            commit.sha, self._of(commit, True), True
-        )
+            rule_ids = self._ids[False][sha] = self._add(sha, self._of(commit, False), False)
+        if fallback_enabled:
+            self._ids[True][sha] = rule_ids or self._add(sha, self._of(commit, True), True)
 
     def rank(
         self, window: Sequence[Commit], query_text: str, fallback_enabled: bool, theta: float
@@ -347,7 +346,7 @@ class CommitDocuments:
         """
         ids = self._ids[fallback_enabled]
         for commit in [c for c in window if c.sha not in ids]:
-            self._post(commit)
+            self._post(commit, fallback_enabled)
         query_tf = tokenize(query_text)
         if not query_tf:
             return []

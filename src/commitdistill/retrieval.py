@@ -164,8 +164,11 @@ class Postings:
 
 
 # Per distinct raw word, its tokens; see ``tokenize``. Entries are computed
-# whole and stored in one assignment, so concurrent callers stay safe.
+# whole and stored in one assignment, so concurrent callers stay safe. The
+# table is emptied when it would pass _WORD_TOKENS_MAX words (a 10k-commit
+# history holds about 18k), so a long-lived caller's memory stays bounded.
 _WORD_TOKENS: dict[str, list[str]] = {}
+_WORD_TOKENS_MAX = 1 << 16
 
 
 def _word_tokens(raw: str) -> list[str]:
@@ -181,14 +184,15 @@ def tokenize(text: str) -> Counter:
 
     A decomposable identifier keeps its original (lower-cased) form alongside
     the constituent words; purely numeric pieces are dropped. Each distinct
-    word is split once per process and its tokens kept, so the cache grows
-    with the vocabulary of the texts tokenized.
+    word is split once and its tokens kept, up to _WORD_TOKENS_MAX words.
     """
     known = _WORD_TOKENS
     tokens: list[str] = []
     for raw in _WORD_RE.findall(text):
         pieces = known.get(raw)
         if pieces is None:
+            if len(known) >= _WORD_TOKENS_MAX:
+                known.clear()
             pieces = known[raw] = _word_tokens(raw)
         tokens += pieces
     return Counter(tokens)
@@ -220,10 +224,6 @@ def tfidf_idf(n: int, df: dict[str, int]) -> dict[str, float]:
     return {term: math.log(numerator / count) for term, count in df.items()}
 
 
-# 1 + log(tf) for the term counts that occur most, computed once.
-_LOG_TF = [0.0] + [1.0 + math.log(tf) for tf in range(1, 64)]
-
-
 def score_documents(
     documents, query_tf: Counter, idf: dict[str, float], theta: float, boosts: BoostTable
 ) -> list[RankedHit]:
@@ -236,7 +236,6 @@ def score_documents(
         for term, query_freq in query_tf.items()
         if term in idf
     ]
-    log_tf = _LOG_TF
     hits: list[RankedHit] = []
     for doc in documents:
         tf = doc.tf
@@ -244,8 +243,7 @@ def score_documents(
         for term, query_weight, term_idf in weights:
             doc_freq = tf.get(term)
             if doc_freq:
-                tf_weight = log_tf[doc_freq] if doc_freq < 64 else 1.0 + math.log(doc_freq)
-                score += tf_weight * query_weight * term_idf
+                score += (1.0 + math.log(doc_freq)) * query_weight * term_idf
         score /= math.sqrt(max(1, doc.length))
         score *= boosts.for_type(doc.item.unit_type) * (0.5 + 0.5 * doc.item.weight)
         if score >= theta:

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.extraction import extract_commits
+from commitdistill.extraction import extract_commits, subject_fallback_unit
 from commitdistill.retrieval import build_index, query
 
 from conftest import build_fast_repo
@@ -377,6 +377,22 @@ def test_shared_unit_belongs_to_first_commit_in_window(shared_unit_repo):
     # camelCase pieces only in the newer copy; the older copy alone in the older window
     assert shas["docs"] in retriever(newest.window, gitio.clean_subject(newest.fix.subject))
     assert shas["pool_fix_1"] in retriever(oldest.window, gitio.clean_subject(oldest.fix.subject))
+
+
+def test_subject_fallback_is_built_only_for_cd_v2(timetravel_repo, monkeypatch):
+    built: list[str] = []
+
+    def recording(commit):
+        built.append(commit.sha)
+        return subject_fallback_unit(commit)
+
+    monkeypatch.setattr(ev, "subject_fallback_unit", recording)
+    cases = ev.time_travel_cases(timetravel_repo[0], 3, 100)
+    retrievers = ev.cd_retrievers(theta=0.0)
+    ev.score_cases(cases, retrievers["cd_v1"])
+    assert built == []
+    ev.score_cases(cases, retrievers["cd_v2"])
+    assert built and len(built) == len(set(built))
 
 
 def _hand_commit(sha: str, subject: str, body: str) -> gitio.Commit:

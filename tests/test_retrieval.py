@@ -77,6 +77,15 @@ def test_tokenize_matches_the_uncached_split(text: str):
     assert list(tokenize(text).items()) == list(first.items())
 
 
+def test_word_cache_stays_bounded(monkeypatch):
+    monkeypatch.setattr(retrieval, "_WORD_TOKENS", {})
+    monkeypatch.setattr(retrieval, "_WORD_TOKENS_MAX", 8)
+    text = " ".join(f"poolName{n} drainQueue w{n}" for n in range(50))
+    for _ in range(2):
+        assert list(tokenize(text).items()) == list(tokenize_uncached_oracle(text).items())
+        assert 0 < len(retrieval._WORD_TOKENS) <= 8
+
+
 @settings(max_examples=1000)
 @given(st.text())
 @example("AΣ'B")
