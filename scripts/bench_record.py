@@ -68,12 +68,12 @@ def _run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     }
 
 
-def _summary(runs: list[dict]) -> dict:
-    """Median and quartiles of every metric over the runs that reported it."""
-    names = sorted({name for run in runs for name in run.get("metrics", {})})
+def _summary(runs: list[dict[str, float]]) -> dict:
+    """Median and quartiles of every name over the runs, each a name-to-value
+    dict, that hold it."""
     summary = {}
-    for name in names:
-        values = sorted(run["metrics"][name] for run in runs if name in run.get("metrics", {}))
+    for name in sorted({name for run in runs for name in run}):
+        values = sorted(run[name] for run in runs if name in run)
         q1, _, q3 = (
             statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
         )
@@ -158,7 +158,11 @@ def main(argv: list[str] | None = None) -> int:
             "machine": machine,
         }
         for side, checkout in sides.items():
-            entry[side] = {**_describe(checkout), "summary": _summary(runs[side]), "runs": runs[side]}
+            entry[side] = {
+                **_describe(checkout),
+                "summary": _summary([run.get("metrics", {}) for run in runs[side]]),
+                "runs": runs[side],
+            }
         if "before" in sides:
             entry["pairs"] = _pairs(runs["before"], runs["after"], better)
         path = args.out / f"BENCH_{workload}.json"

@@ -23,15 +23,14 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import shutil
-import statistics
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+from bench_record import _describe, _machine, _summary
 
 SEED = 1
 FIXES = 40
@@ -61,22 +60,6 @@ print(json.dumps({"timings": timings, "methods": methods}, sort_keys=True))
 """
 
 
-def _git(checkout: Path, *args: str) -> str:
-    return subprocess.run(
-        ["git", *args], cwd=checkout, check=True, capture_output=True, text=True
-    ).stdout.strip()
-
-
-def _describe(checkout: Path) -> dict:
-    """Commit sha and whether tracked files differ from it."""
-    try:
-        sha = _git(checkout, "rev-parse", "HEAD")
-        dirty = bool(_git(checkout, "status", "--porcelain", "--untracked-files=no"))
-    except (subprocess.CalledProcessError, FileNotFoundError):
-        return {"sha": None, "dirty": None}
-    return {"sha": sha, "dirty": dirty}
-
-
 def _generate(checkout: Path, work: Path) -> tuple[Path, dict[str, str]]:
     """The ``query`` workload's history, written by the checkout's generator."""
     sys.path.insert(0, str(checkout / "bench"))
@@ -96,17 +79,6 @@ def _measure(checkout: Path, repo: Path, env: dict) -> dict:
         tail = proc.stderr.strip().splitlines()
         raise RuntimeError(f"{checkout}: {tail[-1] if tail else f'exit {proc.returncode}'}")
     return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def _summary(runs: list[dict]) -> dict:
-    summary = {}
-    for name in sorted(runs[0]["timings"]):
-        values = sorted(run["timings"][name] for run in runs)
-        q1, _, q3 = (
-            statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
-        )
-        summary[name] = {"median": statistics.median(values), "q1": q1, "q3": q3, "n": len(values)}
-    return summary
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -135,24 +107,17 @@ def main(argv: list[str] | None = None) -> int:
         shutil.rmtree(work, ignore_errors=True)
 
     methods = {json.dumps(run["methods"], sort_keys=True) for side in runs.values() for run in side}
-    git = subprocess.run(["git", "--version"], capture_output=True, text=True).stdout.strip()
     entry = {
         "recorded": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "history": "query workload", "seed": SEED, "fixes": FIXES,
         "window": WINDOW, "theta": THETA, "rounds": args.rounds,
-        "machine": {
-            "python": platform.python_version(), "git": git.removeprefix("git version "),
-            "cores": os.cpu_count(), "platform": platform.platform(),
-        },
+        "machine": _machine(),
         "same_methods": len(methods) == 1,
         "methods": runs["after"][0]["methods"],
     }
     for side, checkout in sides.items():
-        entry[side] = {
-            **_describe(checkout),
-            "summary": _summary(runs[side]),
-            "runs": [run["timings"] for run in runs[side]],
-        }
+        timings = [run["timings"] for run in runs[side]]
+        entry[side] = {**_describe(checkout), "summary": _summary(timings), "runs": timings}
     if "before" in sides:
         entry["after_faster"] = {
             name: sum(

@@ -16,10 +16,13 @@ from pathlib import Path
 
 FIELD_SEP = "\x1f"
 RECORD_SEP = "\x1e"
-# The trailing separator closes the body, so that the file names which
-# ``--name-only`` prints after the record land in a field of their own.
+# The empty trailing field closes the body with a separator. git prints no
+# newline after the last record, so without it a 0x1e ending the oldest
+# commit's message would split off an empty record, which is skipped, and the
+# byte would be lost unseen; with it that record is a field short and refused.
 _LOG_FORMAT = RECORD_SEP + FIELD_SEP.join(["%H", "%an", "%at", "%ad", "%s", "%b", ""])
 _LOG_FIELDS = 7
+_LOG_ARGS = ("log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}")
 # Bytes asked of the file-list stream per read; a read returns what the pipe
 # holds, so git runs at most a pipe's worth ahead of what is asked.
 _FILES_CHUNK = 1 << 16
@@ -59,7 +62,7 @@ class Commit:
     author_epoch: int  # the same instant in seconds since the epoch
     subject: str
     body: str
-    changed_files: set[str] | None = None  # set by list_commits_with_files()
+    changed_files: set[str] | None = None  # set by ChangedFiles
 
     @property
     def short_sha(self) -> str:
@@ -111,7 +114,7 @@ def head_sha(repo_path: Path | str) -> str:
     return _run_git(["rev-parse", "HEAD"], path).strip()
 
 
-def _parse_log(output: str, with_files: bool) -> list[Commit]:
+def _parse_log(output: str) -> list[Commit]:
     commits: list[Commit] = []
     last_sha = "<none>"
     for record in output.split(RECORD_SEP):
@@ -124,9 +127,8 @@ def _parse_log(output: str, with_files: bool) -> list[Commit]:
                 f"commit {offender}: message contains wire-format separator bytes "
                 "(0x1f/0x1e); refusing to parse"
             )
-        sha, author, epoch, date, subject, body, names = fields
+        sha, author, epoch, date, subject, body, _ = fields
         last_sha = sha
-        files = {line for line in names.splitlines() if line} if with_files else None
         commits.append(
             Commit(
                 sha=sha,
@@ -135,55 +137,26 @@ def _parse_log(output: str, with_files: bool) -> list[Commit]:
                 author_epoch=int(epoch),
                 subject=subject,
                 body=body.rstrip("\n"),
-                changed_files=files,
             )
         )
     return commits
-
-
-def _read_log(path: Path, max_count: int | None, with_files: bool) -> list[Commit]:
-    """One ``git log`` over an already checked repository, newest first.
-
-    With ``with_files`` each commit carries its name-only diff against the
-    first parent (root commits against the empty tree).
-    """
-    if not _has_commits(path):
-        return []
-    return _parse_log(_run_git(_log_args(max_count, with_files), path), with_files)
-
-
-def _log_args(max_count: int | None, with_files: bool) -> list[str]:
-    args = ["log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}"]
-    if with_files:
-        args += ["--diff-merges=first-parent", "--name-only"]
-    if max_count is not None:
-        args += ["-n", str(max_count)]
-    return args
 
 
 def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:
     """Newest-first commits, at most ``max_count``."""
     if max_count < 1:
         raise ValueError("max_count must be >= 1")
-    return _read_log(_ensure_repo(repo_path), max_count, with_files=False)
+    path = _ensure_repo(repo_path)
+    if not _has_commits(path):
+        return []
+    return _parse_log(_run_git([*_LOG_ARGS, "-n", str(max_count)], path))
 
 
-def list_commits_with_files(
-    repo_path: Path | str, max_count: int | None = None
-) -> list[Commit]:
-    """Newest-first commits with ``changed_files`` set, from one git call.
-
-    The file sets are name-only diffs against the first parent; a root
-    commit diffs against the empty tree.
-    """
-    return _read_log(_ensure_repo(repo_path), max_count, with_files=True)
-
-
-def changed_files_map(
-    repo_path: Path | str, max_count: int | None = None
-) -> dict[str, set[str]]:
-    """First-parent changed-file sets for many commits in one git call."""
-    return {c.sha: c.changed_files for c in list_commits_with_files(repo_path, max_count)}
+def changed_files_map(repo_path: Path | str) -> dict[str, set[str]]:
+    """First-parent changed-file sets of every commit, read through ChangedFiles."""
+    with ChangedFiles(repo_path) as files:
+        files.through(len(files.commits) - 1)
+    return {commit.sha: commit.changed_files for commit in files.commits}
 
 
 class ChangedFiles:
@@ -213,7 +186,7 @@ class ChangedFiles:
             cwd=str(path), stdout=subprocess.PIPE, stderr=self._errors,
         )
         try:
-            self.commits = _parse_log(_run_git(_log_args(None, with_files=False), path), with_files=False)
+            self.commits = _parse_log(_run_git(list(_LOG_ARGS), path))
         except BaseException:
             self.close()
             raise

@@ -50,7 +50,6 @@ class BoostTable:
 
 
 DEFAULT_BOOSTS = BoostTable()
-NEUTRAL_BOOSTS = BoostTable(pattern=1.0, skill=1.0, fact=1.0)
 
 DEFAULT_K = 3
 EVAL_K = 10

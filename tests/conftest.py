@@ -25,6 +25,19 @@ def run_git(repo: Path, *args: str, env: dict | None = None, stdin: str | None =
     return completed.stdout
 
 
+def recording_popen(monkeypatch) -> list[subprocess.Popen]:
+    """The processes started through ``subprocess`` from here on, in order."""
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
 class RepoBuilder:
     """Deterministic git fixture repo: explicit dates, explicit file sets."""
 

@@ -429,12 +429,18 @@ def changed_files_oracle(repo_path, sha: str) -> set[str]:
     return {line for line in output.splitlines() if line}
 
 
-def time_travel_cases_oracle(repo_path, n_fixes: int, window_size: int):
-    """Cases rebuilt per call: author dates parsed with ``datetime`` for every
-    commit in every fix's scan, file sets from one ``git diff`` per commit."""
+def commits_with_files_oracle(repo_path) -> list[gitio.Commit]:
+    """Every commit, newest first, its file set from ``changed_files_oracle``."""
     commits = gitio.list_commits(repo_path, max_count=10**9)
     for commit in commits:
         commit.changed_files = changed_files_oracle(repo_path, commit.sha)
+    return commits
+
+
+def time_travel_cases_oracle(repo_path, n_fixes: int, window_size: int):
+    """Cases rebuilt per call: author dates parsed with ``datetime`` for every
+    commit in every fix's scan, file sets from one ``git diff`` per commit."""
+    commits = commits_with_files_oracle(repo_path)
     cases = []
     for fix in commits:
         if len(cases) == n_fixes:

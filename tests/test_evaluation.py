@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import json
 import math
-import subprocess
 from pathlib import Path
 
 import pytest
@@ -10,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.extraction import extract_commits, subject_fallback_unit
+from commitdistill.extraction import extract_commit_units, extract_commits, subject_fallback_unit
 from commitdistill.retrieval import build_index, query
 
-from conftest import build_fast_repo
+from conftest import build_fast_repo, recording_popen
 from oracles import (
     author_datetime,
     bm25_retriever_oracle,
@@ -323,21 +322,9 @@ def test_run_wide_postings_match_per_window_indexes_on_any_windows(shared_unit_r
             assert got[name](window, text) == want[name](window, text), name
 
 
-def _recording_popen(monkeypatch) -> list[subprocess.Popen]:
-    started: list[subprocess.Popen] = []
-
-    class Recording(subprocess.Popen):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            started.append(self)
-
-    monkeypatch.setattr(subprocess, "Popen", Recording)
-    return started
-
-
 @pytest.mark.parametrize("n_fixes", [3, 10], ids=["cases", "insufficient"])
 def test_time_travel_cases_reap_every_git_child(timetravel_repo, monkeypatch, n_fixes):
-    started = _recording_popen(monkeypatch)
+    started = recording_popen(monkeypatch)
     repo, _ = timetravel_repo
     if n_fixes == 10:
         with pytest.raises(ev.InsufficientFixes):
@@ -359,7 +346,7 @@ def test_file_lists_are_read_only_as_far_as_the_cases_reach(tmp_path, monkeypatc
             readers.append(self)
 
     monkeypatch.setattr(gitio, "ChangedFiles", Recording)
-    started = _recording_popen(monkeypatch)
+    started = recording_popen(monkeypatch)
     (case,) = ev.time_travel_cases(repo, n_fixes=1, window_size=7)
     commits = readers[0].commits
     assert len(commits) == 6000
@@ -393,6 +380,33 @@ def test_subject_fallback_is_built_only_for_cd_v2(timetravel_repo, monkeypatch):
     assert built == []
     ev.score_cases(cases, retrievers["cd_v2"])
     assert built and len(built) == len(set(built))
+
+
+def test_commit_documents_extract_each_commit_once(timetravel_repo, monkeypatch):
+    """eval sweep's two indexes and both time-travel modes share one extraction."""
+    ruled: list[str] = []
+    fallen_back: list[str] = []
+
+    def rules(commit, fallback_enabled):
+        ruled.append(commit.sha)
+        return extract_commit_units(commit, fallback_enabled)
+
+    def fallback(commit):
+        fallen_back.append(commit.sha)
+        return subject_fallback_unit(commit)
+
+    monkeypatch.setattr(ev, "extract_commit_units", rules)
+    monkeypatch.setattr(ev, "subject_fallback_unit", fallback)
+    commits = gitio.list_commits(timetravel_repo[0])
+    documents = ev.CommitDocuments()
+    documents.index(commits, False)
+    documents.index(commits, True)
+    for fallback_enabled in (False, True):
+        documents.rank(commits, "fix cache race", fallback_enabled, 0.0)
+    silent = [c.sha for c in commits if not extract_commit_units(c, fallback_enabled=False)]
+    assert silent and len(silent) < len(commits)
+    assert sorted(ruled) == sorted(c.sha for c in commits)
+    assert sorted(fallen_back) == sorted(silent)
 
 
 def _hand_commit(sha: str, subject: str, body: str) -> gitio.Commit:

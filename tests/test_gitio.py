@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from commitdistill import gitio
 from commitdistill.gitio import CommitParseError, GitError
 
-from conftest import RepoBuilder, run_git
-from oracles import as_datetime, author_datetime, changed_files_oracle
+from conftest import RepoBuilder, recording_popen, run_git
+from oracles import as_datetime, author_datetime, changed_files_oracle, commits_with_files_oracle
 
 
 def test_single_commit_matches_rev_parse_head(repo_builder: RepoBuilder):
@@ -51,11 +51,19 @@ def test_unicode_round_trips(repo_builder: RepoBuilder):
 
 
 @pytest.mark.parametrize("separator", ["\x1f", "\x1e"])
-def test_separator_bytes_in_body_raise_parse_error(repo_builder: RepoBuilder, separator: str):
+def test_separator_bytes_in_body_raise_parse_error(repo_builder: RepoBuilder, tmp_path, separator: str):
     sha = repo_builder.commit("poisoned", body=f"before{separator}after")
     with pytest.raises(CommitParseError) as excinfo:
         gitio.list_commits(repo_builder.path, max_count=10)
     assert sha in str(excinfo.value)
+    # the oldest commit's message ends in the byte, with no newline after it
+    oldest = RepoBuilder(tmp_path / "oldest")
+    (tmp_path / "message").write_text(f"poisoned\n\nbefore{separator}", encoding="utf-8")
+    run_git(oldest.path, "commit", "-q", "--allow-empty", "--cleanup=verbatim", "-F", str(tmp_path / "message"))
+    sha = run_git(oldest.path, "rev-parse", "HEAD").strip()
+    assert run_git(oldest.path, "cat-file", "commit", sha).endswith(f"before{separator}")
+    with pytest.raises(CommitParseError, match=sha):
+        gitio.list_commits(oldest.path)
 
 
 def test_empty_repository_lists_nothing(tmp_path):
@@ -74,10 +82,6 @@ def test_missing_and_non_repo_paths_raise(tmp_path):
         gitio.list_commits(plain, max_count=1)
 
 
-def _files_by_sha(repo) -> dict[str, set[str]]:
-    return {c.sha: c.changed_files for c in gitio.list_commits_with_files(repo)}
-
-
 def test_changed_files_single_and_multi(repo_builder: RepoBuilder):
     root = repo_builder.commit("touch readme", files={"README.md": "hello\n"})
     tri = repo_builder.commit(
@@ -91,7 +95,7 @@ def test_changed_files_single_and_multi(repo_builder: RepoBuilder):
         ).splitlines()
         if line
     }
-    files = _files_by_sha(repo_builder.path)
+    files = gitio.changed_files_map(repo_builder.path)
     assert files[root] == changed_files_oracle(repo_builder.path, root) == {"README.md"}
     assert files[tri] == changed_files_oracle(repo_builder.path, tri) == expected == {"a.py", "b/b.py", "c.txt"}
 
@@ -117,47 +121,14 @@ def test_merge_with_no_first_parent_delta_is_empty(repo_builder: RepoBuilder):
         },
     )
     merge_sha = run_git(repo_builder.path, "rev-parse", "HEAD").strip()
-    files = _files_by_sha(repo_builder.path)
+    files = gitio.changed_files_map(repo_builder.path)
     assert files[merge_sha] == changed_files_oracle(repo_builder.path, merge_sha) == set()
 
 
-def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilder):
-    shas = [
-        repo_builder.commit("one", files={"x.py": "1\n"}),
-        repo_builder.commit("two", files={"x.py": "2\n", "y.py": "1\n"}),
-        repo_builder.commit("three", files={"z.md": "1\n"}),
-    ]
-    bulk = gitio.changed_files_map(repo_builder.path)
-    for sha in shas:
-        assert bulk[sha] == changed_files_oracle(repo_builder.path, sha)
-
-
-def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBuilder):
-    repo_builder.commit("root", files={"a.py": "1\n"}, date="2023-01-01T10:00:00+05:00")
-    repo_builder.commit("two", body="line one.\n\nline three", files={"a.py": "2\n", "b.py": "1\n"},
-                        date="2023-01-01T01:00:00-08:00")
-    run_git(repo_builder.path, "checkout", "-q", "-b", "side")
-    repo_builder.commit("side work", files={"side.txt": "side\n"})
-    run_git(repo_builder.path, "checkout", "-q", "main")
-    repo_builder.commit("empty", files={})
-    run_git(repo_builder.path, "merge", "-q", "--no-ff", "-m", "merge side", "side")
-    plain = gitio.list_commits(repo_builder.path)
-    with_files = gitio.list_commits_with_files(repo_builder.path)
-    assert [c.sha for c in with_files] == [c.sha for c in plain]
-    for listed, read in zip(plain, with_files):
-        assert listed.changed_files is None
-        assert read.changed_files == changed_files_oracle(repo_builder.path, read.sha)
-        read.changed_files = None
-        assert read == listed
-        assert read.author_epoch == int(author_datetime(read).timestamp())
-    assert [c.changed_files for c in gitio.list_commits_with_files(repo_builder.path, 2)] == [
-        {"side.txt"}, set()
-    ]
-
-
 def _history_with_merge_and_root(repo_builder: RepoBuilder) -> None:
-    repo_builder.commit("root", files={"a.py": "1\n"})
-    repo_builder.commit("two", files={"a.py": "2\n", "b.py": "1\n"})
+    repo_builder.commit("root", files={"a.py": "1\n"}, date="2022-12-31T10:00:00+05:00")
+    repo_builder.commit("two", body="line one.\n\nline three", files={"a.py": "2\n", "b.py": "1\n"},
+                        date="2022-12-31T01:00:00-08:00")
     run_git(repo_builder.path, "checkout", "-q", "-b", "side")
     repo_builder.commit("side work", files={"side.txt": "side\n"})
     run_git(repo_builder.path, "checkout", "-q", "main")
@@ -166,9 +137,23 @@ def _history_with_merge_and_root(repo_builder: RepoBuilder) -> None:
     repo_builder.commit("after merge", files={"b.py": "2\n", "c.py": "1\n"})
 
 
-def test_lazy_file_lists_match_the_one_pass_read(repo_builder: RepoBuilder):
+def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilder, monkeypatch):
     _history_with_merge_and_root(repo_builder)
-    want = gitio.list_commits_with_files(repo_builder.path)
+    for subject, files in [("one", {"x.py": "1\n"}), ("two", {"x.py": "2\n", "y.py": "1\n"}),
+                           ("three", {"z.md": "1\n"})]:
+        repo_builder.commit(subject, files=files)
+    started = recording_popen(monkeypatch)
+    bulk = gitio.changed_files_map(repo_builder.path)
+    assert sum("--name-only" in proc.args for proc in started) == 1
+    assert all(proc.returncode is not None for proc in started)
+    want = commits_with_files_oracle(repo_builder.path)
+    assert len(want) == 9
+    assert bulk == {commit.sha: commit.changed_files for commit in want}
+
+
+def test_lazy_file_lists_match_per_commit_diffs(repo_builder: RepoBuilder):
+    _history_with_merge_and_root(repo_builder)
+    want = commits_with_files_oracle(repo_builder.path)
     assert want[1].subject == "merge side" and want[-1].subject == "root"
     assert gitio.ChangedFiles(repo_builder.path).close() is None  # closing unread is fine
     for reach in range(len(want)):
@@ -177,6 +162,7 @@ def test_lazy_file_lists_match_the_one_pass_read(repo_builder: RepoBuilder):
             files.through(reach)
         assert all(commit.changed_files is not None for commit in files.commits[: reach + 1])
         for got, expected in zip(files.commits, want):
+            assert got.author_epoch == int(author_datetime(got).timestamp())
             if got.changed_files is not None:  # every commit read, not only those asked for
                 assert got == expected
 

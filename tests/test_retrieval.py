@@ -20,6 +20,8 @@ from oracles import (
 from test_baselines import make_commit
 from test_store import make_unit
 
+NEUTRAL_BOOSTS = BoostTable(pattern=1.0, skill=1.0, fact=1.0)
+
 
 class TestTokenize:
     def test_snake_case_keeps_original(self):
@@ -165,7 +167,7 @@ class TestBuildIndex:
 def _one_term_idf(index, term: str) -> float:
     """idf of ``term`` read back from a one-term query: with neutral boosts
     and weight 1 the best holder scores (1 + log tf) * idf / sqrt(|d|)."""
-    hit = query(index, term, k=1, theta=0.0, boosts=retrieval.NEUTRAL_BOOSTS)[0]
+    hit = query(index, term, k=1, theta=0.0, boosts=NEUTRAL_BOOSTS)[0]
     doc = next(d for d in index.documents if d.item.id == hit.unit.id)
     return hit.score * math.sqrt(max(1, doc.length)) / (1.0 + math.log(doc.tf[term]))
 
@@ -225,7 +227,7 @@ class TestQuery:
             make_unit("redirect policy for logins", unit_type="fact", weight=1.0),
             make_unit("cookie jar rotation", unit_type="skill", weight=1.0),
         ]
-        neutral = retrieval.NEUTRAL_BOOSTS
+        neutral = NEUTRAL_BOOSTS
         hits = query(build_index(units), "redirect loop", k=5, theta=0.0, boosts=neutral)
         expected = tfidf_oracle(units, "redirect loop", k=5, theta=0.0, boosts=neutral)
         assert [h.unit.id for h in hits] == [uid for uid, _ in expected]
