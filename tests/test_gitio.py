@@ -151,9 +151,28 @@ def test_changed_files_map_agrees_with_per_commit_calls(repo_builder: RepoBuilde
     assert bulk == {commit.sha: commit.changed_files for commit in want}
 
 
-def test_lazy_file_lists_match_per_commit_diffs(repo_builder: RepoBuilder):
+def test_one_pass_read_matches_listing_and_per_commit_diffs(repo_builder: RepoBuilder):
+    _history_with_merge_and_root(repo_builder)
+    plain = gitio.list_commits(repo_builder.path)
+    with gitio.ChangedFiles(repo_builder.path) as files:
+        files.through(len(files.commits) - 1)
+    assert [c.sha for c in files.commits] == [c.sha for c in plain]
+    for listed, read in zip(plain, files.commits):
+        assert listed.changed_files is None
+        assert read.changed_files == changed_files_oracle(repo_builder.path, read.sha)
+        assert read.author_epoch == int(author_datetime(read).timestamp())
+        read.changed_files = None
+        assert read == listed
+    assert gitio.changed_files_map(repo_builder.path) == {
+        c.sha: c.changed_files for c in commits_with_files_oracle(repo_builder.path)
+    }
+
+
+def test_lazy_file_lists_match_the_one_pass_read(repo_builder: RepoBuilder):
     _history_with_merge_and_root(repo_builder)
     want = commits_with_files_oracle(repo_builder.path)
+    one_pass = gitio.changed_files_map(repo_builder.path)
+    assert one_pass == {c.sha: c.changed_files for c in want}
     assert want[1].subject == "merge side" and want[-1].subject == "root"
     assert gitio.ChangedFiles(repo_builder.path).close() is None  # closing unread is fine
     for reach in range(len(want)):
@@ -165,6 +184,7 @@ def test_lazy_file_lists_match_per_commit_diffs(repo_builder: RepoBuilder):
             assert got.author_epoch == int(author_datetime(got).timestamp())
             if got.changed_files is not None:  # every commit read, not only those asked for
                 assert got == expected
+                assert got.changed_files == one_pass[got.sha]
 
 
 def test_lazy_file_lists_refuse_another_history(repo_builder: RepoBuilder):
