@@ -11,7 +11,9 @@ import os
 import sys
 from pathlib import Path
 
-from . import baselines, evaluation, extraction, gitio, retrieval, store
+# Each command imports the other modules it runs, so that a cold ``query``
+# process loads no extraction, git or evaluation code.
+from . import retrieval, store
 
 DEFAULT_MAX_COMMITS = 5000
 DEFAULT_OUT_DIR = "evaluation"
@@ -58,12 +60,16 @@ def _write_result(out_dir: str, filename: str, payload) -> Path:
 def _verify_manifest_arg(manifest_path: str | None) -> None:
     if manifest_path is None:
         return
+    from . import evaluation
+
     verified = evaluation.verify_manifest(evaluation.load_manifest(manifest_path))
     for entry in verified:
         print(f"pinned snapshot ok: {entry.get('name', entry['path'])} @ {entry['head'][:12]}")
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
+    from . import extraction, gitio
+
     commits = gitio.list_commits(args.repo, args.max_commits)
     units = extraction.extract_commits(commits, fallback_enabled=args.fallback == "on")
     try:
@@ -112,14 +118,18 @@ def _commits_and_indexes(args: argparse.Namespace):
     """The commits, distilled-store index and BM25 index that ``eval baseline``
     and ``eval budget`` search, built once from ``--repo``, ``--max-commits``
     and ``--fallback``."""
+    from . import baselines, evaluation, gitio
+
     commits = gitio.list_commits(args.repo, args.max_commits)
     index = evaluation.CommitDocuments().index(commits, args.fallback == "on")
     return commits, index, baselines.build_bm25_index(commits)
 
 
-def _benchmark_queries(path: str) -> list[evaluation.BenchQuery]:
-    """The benchmark's queries; an empty benchmark is refused, as ``eval
-    budget`` refuses one without answer spans."""
+def _benchmark_queries(path: str) -> list:
+    """The benchmark's ``evaluation.BenchQuery`` list; an empty benchmark is
+    refused, as ``eval budget`` refuses one without answer spans."""
+    from . import evaluation
+
     queries = evaluation.load_benchmark(path)
     if not queries:
         raise ValueError(f"benchmark {path} holds no queries")
@@ -127,6 +137,8 @@ def _benchmark_queries(path: str) -> list[evaluation.BenchQuery]:
 
 
 def cmd_eval_baseline(args: argparse.Namespace) -> int:
+    from . import baselines
+
     _verify_manifest_arg(args.manifest)
     queries = _benchmark_queries(args.benchmark)
     commits, index, bm25_index = _commits_and_indexes(args)
@@ -160,6 +172,9 @@ def cmd_eval_baseline(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_budget(args: argparse.Namespace) -> int:
+    from . import baselines, evaluation
+
+    budgets = list(evaluation.DEFAULT_BUDGETS) if args.budgets is None else args.budgets
     _verify_manifest_arg(args.manifest)
     queries = [q for q in evaluation.load_benchmark(args.benchmark) if q.answer_span]
     if not queries:
@@ -173,8 +188,8 @@ def cmd_eval_budget(args: argparse.Namespace) -> int:
         "grep": lambda text: [c.message for c, _ in baselines.grep_search(commits, text, k=k)],
         "bm25": lambda text: [c.message for c, _ in baselines.bm25_query(bm25_index, text, k=k)],
     }
-    results = evaluation.budget_sweep(queries, retrievers, args.budgets)
-    payload: dict = {"n_queries": len(queries), "budgets": list(args.budgets), "retrievers": {}}
+    results = evaluation.budget_sweep(queries, retrievers, budgets)
+    payload: dict = {"n_queries": len(queries), "budgets": list(budgets), "retrievers": {}}
     for name, result in results.items():
         entry = {
             "rows": [
@@ -191,18 +206,21 @@ def cmd_eval_budget(args: argparse.Namespace) -> int:
     print(f"wrote {out}")
     header = "budget".rjust(8) + "".join(name.rjust(15) for name in results)
     print(header)
-    for budget in args.budgets:
+    for budget in budgets:
         cells = "".join(f"{results[name]['hit_rate_by_budget'][budget]:15.3f}" for name in results)
         print(f"{budget:8d}{cells}")
     return 0
 
 
 def cmd_eval_sweep(args: argparse.Namespace) -> int:
+    from . import evaluation, gitio
+
+    thetas = list(evaluation.DEFAULT_THETA_GRID) if args.thetas is None else args.thetas
     queries = _benchmark_queries(args.benchmark)
     commits = gitio.list_commits(args.repo, args.max_commits)
     documents = evaluation.CommitDocuments()
-    v1_rows = evaluation.threshold_sweep(documents.index(commits, False), queries, args.thetas)
-    v2_rows = evaluation.threshold_sweep(documents.index(commits, True), queries, args.thetas)
+    v1_rows = evaluation.threshold_sweep(documents.index(commits, False), queries, thetas)
+    v2_rows = evaluation.threshold_sweep(documents.index(commits, True), queries, thetas)
     payload = {"cd_v1": v1_rows, "cd_v2": v2_rows, "n_queries": len(queries)}
     out = _write_result(args.out, "threshold_sweep.json", payload)
     print(f"wrote {out}")
@@ -217,15 +235,18 @@ def cmd_eval_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_timetravel(args: argparse.Namespace) -> int:
+    from . import evaluation
+
+    window = evaluation.DEFAULT_WINDOW if args.window is None else args.window
     _verify_manifest_arg(args.manifest)
-    cases = evaluation.time_travel_cases(args.repo, args.fixes, args.window)
+    cases = evaluation.time_travel_cases(args.repo, args.fixes, window)
     retrievers = {
         "grep": evaluation.grep_retriever(),
         "bm25": evaluation.bm25_retriever(),
         **evaluation.cd_retrievers(theta=args.theta),
     }
     methods = {name: evaluation.score_cases(cases, r) for name, r in retrievers.items()}
-    payload = {"n_fixes": args.fixes, "window": args.window, "methods": methods}
+    payload = {"n_fixes": args.fixes, "window": window, "methods": methods}
     out = _write_result(args.out, "time_travel_results.json", payload)
     print(f"wrote {out}")
     print("method".rjust(8) + "hit@1".rjust(9) + "hit@3".rjust(9) + "hit@10".rjust(9) + "mrr".rjust(9))
@@ -238,6 +259,8 @@ def cmd_eval_timetravel(args: argparse.Namespace) -> int:
 
 
 def cmd_eval_kappa(args: argparse.Namespace) -> int:
+    from . import evaluation
+
     records = evaluation.load_labels(args.labels)
     if not records:
         raise ValueError(f"labels file {args.labels} holds no records")
@@ -324,7 +347,7 @@ def build_parser() -> CliParser:
     _add_repo_arg(budget)
     budget.add_argument("--benchmark", required=True)
     budget.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
-    budget.add_argument("--budgets", type=_comma_list(_positive_int), default=list(evaluation.DEFAULT_BUDGETS))
+    budget.add_argument("--budgets", type=_comma_list(_positive_int), default=None)
     budget.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     budget.add_argument("--out", default=DEFAULT_OUT_DIR)
     budget.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
@@ -335,14 +358,14 @@ def build_parser() -> CliParser:
     _add_repo_arg(sweep)
     sweep.add_argument("--benchmark", required=True)
     sweep.add_argument("--max-commits", type=_positive_int, default=DEFAULT_MAX_COMMITS)
-    sweep.add_argument("--thetas", type=_comma_list(_theta), default=list(evaluation.DEFAULT_THETA_GRID))
+    sweep.add_argument("--thetas", type=_comma_list(_theta), default=None)
     sweep.add_argument("--out", default=DEFAULT_OUT_DIR)
     sweep.set_defaults(func=cmd_eval_sweep)
 
     timetravel = experiments.add_parser("timetravel", help="time-travel regression finding")
     _add_repo_arg(timetravel)
     timetravel.add_argument("--fixes", type=_positive_int, default=40)
-    timetravel.add_argument("--window", type=_positive_int, default=evaluation.DEFAULT_WINDOW)
+    timetravel.add_argument("--window", type=_positive_int, default=None)
     timetravel.add_argument("--theta", type=_theta, default=retrieval.DEFAULT_THETA)
     timetravel.add_argument("--out", default=DEFAULT_OUT_DIR)
     timetravel.add_argument("--manifest", default=None, help="pinned-SHA snapshot manifest (JSON)")
@@ -366,7 +389,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (gitio.GitError, evaluation.InsufficientFixes, FileNotFoundError, ValueError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # gitio.GitError is an OSError, InsufficientFixes a ValueError
         print(f"commitdistill: error: {exc}", file=sys.stderr)
         return 2
 

@@ -54,7 +54,7 @@ TextRetriever = Callable[[str], list[str]]
 CommitRetriever = Callable[[list[Commit], str], list[str]]
 
 
-class InsufficientFixes(RuntimeError):
+class InsufficientFixes(ValueError):
     """The repository has fewer qualifying bug-fix commits than requested."""
 
 
@@ -493,7 +493,9 @@ def _json_entries(
     ValueError naming the file and the entry's position."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    # JSONDecodeError, UnicodeDecodeError, an over-long int; nesting deeper
+    # than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"{kind} file {path} is not UTF-8 JSON: {exc}") from None
     if not isinstance(payload, list):
         raise ValueError(f"{kind} file {path} must hold a JSON array")

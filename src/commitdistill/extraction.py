@@ -18,6 +18,7 @@ from functools import lru_cache
 
 from . import gitio
 from .gitio import Commit
+from .store import UNIT_TYPES, KnowledgeUnit  # noqa: F401  (UNIT_TYPES: still importable from here)
 
 MIN_CONTENT_LEN = 12
 MAX_CONTENT_LEN = 300
@@ -25,8 +26,6 @@ RESOLUTION_TAIL_CAP = 140
 FALLBACK_CONTENT_CAP = 280
 FALLBACK_PRIOR = 0.40
 TITLE_CAP = 60
-
-UNIT_TYPES = ("fact", "skill", "pattern")
 
 # A fence runs to the next fence or, left open, to the end of the text.
 _FENCE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
@@ -97,42 +96,6 @@ class HeuristicRule:
     triggers: tuple[str, ...]
     keyword: re.Pattern[str]
     span: str
-
-
-@dataclass
-class KnowledgeUnit:
-    """A typed, provenance-carrying span distilled from a commit message."""
-
-    id: str
-    unit_type: str
-    title: str
-    content: str
-    weight: float
-    context: str
-    meta: dict[str, str]
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "type": self.unit_type,
-            "title": self.title,
-            "content": self.content,
-            "weight": self.weight,
-            "context": self.context,
-            "meta": dict(self.meta),
-        }
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "KnowledgeUnit":
-        return cls(
-            id=payload["id"],
-            unit_type=payload["type"],
-            title=payload["title"],
-            content=payload["content"],
-            weight=payload["weight"],
-            context=payload["context"],
-            meta=dict(payload["meta"]),
-        )
 
 
 # Sentences end at these characters, found once per message. A span ends at

@@ -44,8 +44,9 @@ _BOT_SUBJECT_RE = re.compile(
 _WS_RE = re.compile(r"\s+")
 
 
-class GitError(RuntimeError):
-    """A git invocation failed; the message carries the captured stderr."""
+class GitError(OSError):
+    """A git invocation failed; the message carries the captured stderr. An
+    OSError, so the CLI reports it as it reports any environment failure."""
 
 
 class CommitParseError(GitError):

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Any
 
-from .extraction import KnowledgeUnit
+from .store import KnowledgeUnit
 
 _WORD_RE = re.compile(r"\w+")
 # camelCase, ALL_CAPS and digit pieces; no piece holds "_", so snake_case

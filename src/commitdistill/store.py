@@ -6,17 +6,19 @@ repeated saves diff clean.
 """
 from __future__ import annotations
 
+import gc
 import json
 import math
 import os
 import stat
 import tempfile
 from dataclasses import dataclass, field, replace
+from itertools import starmap
 from json.encoder import encode_basestring as _string
+from operator import itemgetter
 from pathlib import Path
 
-from .extraction import UNIT_TYPES, KnowledgeUnit
-
+UNIT_TYPES = ("fact", "skill", "pattern")
 SCHEMA_VERSION = 1
 STORE_DIR = ".knowledge"
 STORE_FILENAME = "units.json"
@@ -28,6 +30,32 @@ _UNIT_SHAPES = frozenset(
     for unit_type in UNIT_TYPES
     for weight_type in (int, float)
 )
+# A stored unit's fields in the order of KnowledgeUnit's.
+_unit_fields = itemgetter("id", "type", "title", "content", "weight", "context", "meta")
+
+
+@dataclass(slots=True)
+class KnowledgeUnit:
+    """A typed, provenance-carrying span distilled from a commit message."""
+
+    id: str
+    unit_type: str
+    title: str
+    content: str
+    weight: float
+    context: str
+    meta: dict[str, str]
+
+    def to_dict(self) -> dict:
+        return {
+            "id": self.id,
+            "type": self.unit_type,
+            "title": self.title,
+            "content": self.content,
+            "weight": self.weight,
+            "context": self.context,
+            "meta": dict(self.meta),
+        }
 
 
 @dataclass
@@ -167,14 +195,33 @@ def _unit_problem(entry) -> str | None:
 
 
 def load(root: Path | str) -> KnowledgeStore:
+    """The store under ``root``; a missing, unreadable or malformed store
+    raises a FileNotFoundError or ValueError naming the file.
+
+    The cyclic garbage collector is paused while the file is parsed and its
+    units built: parsed JSON holds no cycles, so a collection would only walk
+    the growing store and free nothing.
+    """
     path = store_path(root)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _load(path)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _load(path: Path) -> KnowledgeStore:
     try:
         payload = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise FileNotFoundError(
             f"no knowledge store at {path}; run the extract command first"
         ) from None
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, an over-long int
+    # JSONDecodeError, UnicodeDecodeError, an over-long int; nesting deeper
+    # than the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"knowledge store {path} is not valid JSON: {exc}") from None
     if not isinstance(payload, dict):
         raise ValueError(f"knowledge store {path} must hold a JSON object")
@@ -189,24 +236,17 @@ def load(root: Path | str) -> KnowledgeStore:
         raise ValueError(f"knowledge store {path} has no units list")
     # One pass over the list decides; a unit is only diagnosed on failure.
     try:
+        rows = list(map(_unit_fields, entries))
         shapes = {
-            (
-                entry["type"],
-                type(entry["weight"]),
-                type(entry["id"]),
-                type(entry["title"]),
-                type(entry["content"]),
-                type(entry["context"]),
-                type(entry["meta"]),
-            )
-            for entry in entries
+            (unit_type, type(weight), type(uid), type(title), type(content), type(context), type(meta))
+            for uid, unit_type, title, content, weight, context, meta in rows
         }
     except (TypeError, KeyError):  # not an object, a missing field, an unhashable type
         shapes = None
     if (
         shapes is None
         or not shapes <= _UNIT_SHAPES
-        or not all(map(_finite, {entry["weight"] for entry in entries}))
+        or not all(map(_finite, {row[4] for row in rows}))
     ):
         position, problem = next(
             (position, problem)
@@ -214,17 +254,14 @@ def load(root: Path | str) -> KnowledgeStore:
             if (problem := _unit_problem(entry))
         )
         raise ValueError(f"knowledge store {path}: unit {position} {problem}")
-    store = KnowledgeStore()
-    for entry in entries:
-        unit = KnowledgeUnit.from_dict(entry)
-        store.units[unit.id] = unit
-    if len(store.units) < len(entries):  # an id repeats: name the first repeat
+    store = KnowledgeStore({unit.id: unit for unit in starmap(KnowledgeUnit, rows)})
+    if len(store.units) < len(rows):  # an id repeats: name the first repeat
         first: dict[str, int] = {}
-        for position, entry in enumerate(entries):
-            earlier = first.setdefault(entry["id"], position)
+        for position, (uid, *_) in enumerate(rows):
+            earlier = first.setdefault(uid, position)
             if earlier != position:
                 raise ValueError(
-                    f"knowledge store {path}: unit {position} repeats the id {entry['id']!r} of unit {earlier}"
+                    f"knowledge store {path}: unit {position} repeats the id {uid!r} of unit {earlier}"
                 )
     return store
 

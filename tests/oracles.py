@@ -25,10 +25,13 @@ that ``retrieval.tokenize`` and ``extraction.normalize`` must reproduce exactly,
 and ``extract_units_oracle``, the nine written-out ``RULES_ORACLE`` regexes each
 scanned over the whole message, is the rule engine that the sentence-first
 ``extraction.extract_units`` must reproduce unit for unit. ``store_bytes_oracle``
-is the store file that ``store.save`` must write byte for byte.
+is the store file that ``store.save`` must write byte for byte, and
+``load_oracle`` the earlier ``store.load``, whose units the one-pass load
+must give in the same order, or whose error line it must raise.
 """
 from __future__ import annotations
 
+import json
 import math
 import re
 import subprocess
@@ -200,6 +203,58 @@ def store_bytes_oracle(knowledge_store) -> bytes:
         "units": [unit.to_dict() for unit in knowledge_store.sorted_units()],
     }
     return store.canonical_json(payload).encode("utf-8")
+
+
+def load_oracle(root) -> store.KnowledgeStore:
+    """``store.load`` as it was before it built the units in one pass with
+    the collector paused: a shape pass over the parsed entries, then each
+    unit built by keyword with a copy of its meta (the deleted
+    ``KnowledgeUnit.from_dict``), then the repeated-id check."""
+    path = store.store_path(root)
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise FileNotFoundError(
+            f"no knowledge store at {path}; run the extract command first"
+        ) from None
+    except ValueError as exc:
+        raise ValueError(f"knowledge store {path} is not valid JSON: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError(f"knowledge store {path} must hold a JSON object")
+    version = payload.get("schema_version")
+    if version != store.SCHEMA_VERSION:
+        raise ValueError(
+            f"knowledge store {path} has schema_version {version!r}; "
+            f"this version reads {store.SCHEMA_VERSION}"
+        )
+    entries = payload.get("units")
+    if not isinstance(entries, list):
+        raise ValueError(f"knowledge store {path} has no units list")
+    for position, entry in enumerate(entries):
+        problem = store._unit_problem(entry)
+        if problem:
+            raise ValueError(f"knowledge store {path}: unit {position} {problem}")
+    knowledge_store = store.KnowledgeStore()
+    for entry in entries:
+        unit = KnowledgeUnit(
+            id=entry["id"],
+            unit_type=entry["type"],
+            title=entry["title"],
+            content=entry["content"],
+            weight=entry["weight"],
+            context=entry["context"],
+            meta=dict(entry["meta"]),
+        )
+        knowledge_store.units[unit.id] = unit
+    if len(knowledge_store.units) < len(entries):
+        first: dict[str, int] = {}
+        for position, entry in enumerate(entries):
+            earlier = first.setdefault(entry["id"], position)
+            if earlier != position:
+                raise ValueError(
+                    f"knowledge store {path}: unit {position} repeats the id {entry['id']!r} of unit {earlier}"
+                )
+    return knowledge_store
 
 @dataclass
 class Document:

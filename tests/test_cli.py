@@ -164,6 +164,8 @@ class TestStoreFile:
             pytest.param(_one_unit_store(weight=10**400), "unit 1 has a non-finite weight", id="weight-huge-int"),
             pytest.param(_one_unit_store(weight=0.5).replace("0.5", "9" * 5001), "is not valid JSON: Exceeds the limit",
                          id="weight-5001-digits"),
+            pytest.param('{"schema_version": 1, "units": ' + "[" * 200_000 + "]" * 200_000 + "}",
+                         "is not valid JSON: maximum recursion depth exceeded", id="nested-too-deep"),
             pytest.param(_one_unit_store(id=7), "unit 1 has a non-string id", id="id-number"),
             pytest.param(_one_unit_store(title=None), "unit 1 has a non-string title", id="title-null"),
             pytest.param(_one_unit_store(content=["text"]), "unit 1 has a non-string content",
@@ -458,6 +460,12 @@ class TestInputFileErrors:
             ("--manifest", [{"path": ".", "sha": "0" * 7}, {"path": ".", "sha": "zzzzzzz"}],
              "entry 1 pins sha 'zzzzzzz', not 7 to 40 hex digits"),
             ("--manifest", [{"path": ".", "sha": "abc"}], "entry 0 pins sha 'abc', not 7 to 40 hex digits"),
+            pytest.param("--benchmark", b"[" * 200_000 + b"]" * 200_000,
+                         "is not UTF-8 JSON: maximum recursion depth exceeded", id="benchmark-nested-too-deep"),
+            pytest.param("--manifest", b"[" * 200_000 + b"]" * 200_000,
+                         "is not UTF-8 JSON: maximum recursion depth exceeded", id="manifest-nested-too-deep"),
+            pytest.param("--benchmark", b'[{"query": "q", "query_class": "OOD", "n": ' + b"9" * 5000 + b"}]",
+                         "is not UTF-8 JSON: Exceeds the limit (4300 digits)", id="benchmark-5000-digits"),
         ],
     )
     def test_bad_file_is_a_one_line_error(self, calibration_repo, tmp_path, capsys, option, content, problem):
@@ -553,9 +561,38 @@ class TestExitCodes:
         assert "error: argument" in capsys.readouterr().err
 
 
-def test_python_m_runs_the_cli():
+def _src_env() -> dict[str, str]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return env
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["query", "intersphinx links use label"], ["cli", "retrieval", "store"]),
+        (["extract"], ["cli", "extraction", "gitio", "retrieval", "store"]),
+    ],
+    ids=["query", "extract"],
+)
+def test_a_command_imports_only_the_modules_it_runs(extracted_repo, argv, loaded):
+    repo, _ = extracted_repo
+    code = (
+        "import sys\n"
+        "from commitdistill import cli\n"
+        "status = cli.main(sys.argv[1:])\n"
+        "print(status, *sorted(m for m in sys.modules if m.startswith('commitdistill.')))\n"
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", code, argv[0], "--repo", str(repo), *argv[1:]],
+        env=_src_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, encoding="utf-8", timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout.splitlines()[-1].split() == ["0", *(f"commitdistill.{name}" for name in loaded)]
+
+
+def test_python_m_runs_the_cli():
+    env = _src_env()
     completed = subprocess.run(
         [sys.executable, "-m", "commitdistill", "--help"],
         env=env,

@@ -1,15 +1,17 @@
 from __future__ import annotations
 
+import gc
 import json
+import math
 import tempfile
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from commitdistill import retrieval, store
+from commitdistill import extraction, retrieval, store
 from commitdistill.extraction import KnowledgeUnit, unit_id
 
-from oracles import store_bytes_oracle
+from oracles import load_oracle, store_bytes_oracle
 
 
 def make_unit(content: str, unit_type: str = "fact", weight: float = 0.75,
@@ -188,3 +190,117 @@ def test_load_refuses_a_repeated_id(tmp_path, sample_store):
     last = len(payload["units"]) - 1
     with pytest.raises(ValueError, match=f"unit {last} repeats the id '{first['id']}' of unit 0$"):
         store.load(tmp_path)
+
+
+def _load_outcome(load, root):
+    """The loaded units in dict order, each with its weight's type, or the
+    error's type and line."""
+    try:
+        units = load(root).units
+    except (FileNotFoundError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(uid, unit, type(unit.weight)) for uid, unit in units.items()]
+
+
+@pytest.mark.parametrize(
+    "fixture", ["oracle_repo", "calibration_repo", "timetravel_repo", "skewed_dates_repo", "shared_unit_repo"]
+)
+def test_load_matches_the_oracle_on_fixture_stores(request, tmp_path, fixture):
+    repo, _ = request.getfixturevalue(fixture)
+    units = extraction.extract_repository(repo, max_count=5000)
+    store.save(store.merge(store.KnowledgeStore(), units), tmp_path)
+    loaded = _load_outcome(store.load, tmp_path)
+    assert len(loaded) == len({unit.id for unit in units})
+    assert loaded == _load_outcome(load_oracle, tmp_path)
+
+
+_meta_value = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(), st.floats(allow_nan=False), _field_text),
+    lambda inner: st.one_of(st.lists(inner, max_size=2), st.dictionaries(_field_text, inner, max_size=2)),
+    max_leaves=4,
+)
+# Ids from a small alphabet, so that a list of units often repeats one.
+_stored_unit = st.fixed_dictionaries(
+    {
+        "id": st.one_of(st.sampled_from(["a", "b", "é", "中"]), _field_text),
+        "type": st.sampled_from(store.UNIT_TYPES),
+        "title": _field_text,
+        "content": _field_text,
+        "context": _field_text,
+        "weight": st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False)),
+        "meta": st.dictionaries(_field_text, _meta_value, max_size=3),
+    }
+)
+_odd_value = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([math.nan, math.inf, -math.inf, 10**400, "bogus"]),
+    st.lists(_field_text, max_size=1), st.dictionaries(_field_text, _field_text, max_size=1),
+)
+_bad_unit = st.one_of(
+    st.builds(lambda entry, name: {k: v for k, v in entry.items() if k != name},
+              _stored_unit, st.sampled_from(sorted(store.UNIT_FIELDS))),
+    st.builds(lambda entry, name, value: {**entry, name: value},
+              _stored_unit, st.sampled_from(sorted(store.UNIT_FIELDS)), _odd_value),
+    st.sampled_from([None, 1, "unit", []]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_stored_unit, max_size=6), st.one_of(st.none(), _bad_unit), st.integers(0, 6), st.booleans())
+@example([], None, 0, False)
+@example([{"id": "a", "type": "fact", "title": "t", "content": "c", "context": "x", "weight": 1,
+           "meta": {"n": 1, "list": [1, "é"], "nested": {"k": None}}}], None, 0, False)
+def test_load_matches_the_oracle_on_generated_stores(entries, bad_unit, position, ensure_ascii):
+    if bad_unit is not None:
+        entries.insert(position, bad_unit)
+    with tempfile.TemporaryDirectory() as root:
+        path = store.store_path(root)
+        path.parent.mkdir()
+        path.write_text(
+            json.dumps({"schema_version": store.SCHEMA_VERSION, "units": entries}, ensure_ascii=ensure_ascii),
+            encoding="utf-8",
+        )
+        assert _load_outcome(store.load, root) == _load_outcome(load_oracle, root)
+
+
+_UNIT = {"id": "a", "type": "fact", "title": "t", "content": "c", "context": "x", "weight": 0.5, "meta": {}}
+_LOAD_CASES = {
+    "ok": json.dumps({"schema_version": 1, "units": [_UNIT, {**_UNIT, "id": "b"}]}),
+    "missing": None,
+    "not-json": "{not json",
+    "too-deep": '{"schema_version": 1, "units": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    "not-an-object": "[]",
+    "old-schema": '{"schema_version": 99, "units": []}',
+    "no-units": '{"schema_version": 1}',
+    "bad-unit": json.dumps({"schema_version": 1, "units": [_UNIT, {**_UNIT, "id": "b", "weight": "high"}]}),
+    "repeated-id": json.dumps({"schema_version": 1, "units": [_UNIT, _UNIT]}),
+}
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["gc-on", "gc-off"])
+@pytest.mark.parametrize("case", list(_LOAD_CASES))
+def test_load_leaves_the_collector_as_it_found_it(tmp_path, monkeypatch, case, enabled):
+    text = _LOAD_CASES[case]
+    if text is not None:
+        path = store.store_path(tmp_path)
+        path.parent.mkdir()
+        path.write_text(text, encoding="utf-8")
+    built_with_gc = set()
+
+    def unit(*fields):
+        built_with_gc.add(gc.isenabled())
+        return KnowledgeUnit(*fields)
+
+    monkeypatch.setattr(store, "KnowledgeUnit", unit)
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            store.load(tmp_path)
+        except (FileNotFoundError, ValueError):
+            assert case != "ok"
+        else:
+            assert case == "ok"
+            assert built_with_gc == {False}
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
