@@ -9,7 +9,7 @@ import heapq
 import math
 
 from .gitio import Commit
-from .retrieval import Document, RetrievalIndex, lookup, tokenize
+from .retrieval import Document, Postings, tokenize
 
 BM25_K1 = 1.5
 BM25_B = 0.75
@@ -31,47 +31,68 @@ def grep_search(commits, query: str, k: int = 10) -> list[tuple[Commit, int]]:
     return results
 
 
-def build_bm25_index(commits) -> RetrievalIndex:
-    """Index raw subjects+bodies with the identifier-aware tokenizer."""
-    return RetrievalIndex([Document(commit, commit.message) for commit in commits])
+class Bm25Index:
+    """Okapi BM25 over raw subjects+bodies, tokenized with the
+    identifier-aware tokenizer: run-wide postings keyed by sha, and each
+    commit's length. A commit is tokenized once, when it is added; any
+    subset of the held commits is searched as a corpus of its own."""
+
+    __slots__ = ("_postings", "_lengths")
+
+    def __init__(self) -> None:
+        self._postings = Postings()
+        self._lengths: dict[str, int] = {}
+
+    def add(self, commits) -> None:
+        """Post the commits not yet held."""
+        lengths = self._lengths
+        for commit in commits:
+            if commit.sha not in lengths:
+                doc = Document(commit, commit.message)
+                self._postings.add(commit.sha, doc)
+                lengths[commit.sha] = doc.length
+
+    def search(self, shas, query: str, k: int) -> list[tuple[Commit, float]]:
+        """BM25 top-k over the held commits named by ``shas``, ties on
+        ascending sha. N is the number of shas, df is counted within them,
+        and avgdl is their summed length over N; the idf is +0.5-smoothed.
+        Every commit sharing a term is a candidate, and only those are
+        scored; a commit's shared terms are summed in the query's order."""
+        query_terms = tokenize(query)
+        if not query_terms:
+            return []
+        members = set(shas)
+        idf: dict[str, float] = {}
+        candidates: dict[str, Document] = {}
+        n = len(shas)
+        for term in query_terms:
+            held = self._postings.within(term, members)
+            if held:
+                idf[term] = math.log((n - len(held) + 0.5) / (len(held) + 0.5))
+                candidates.update(held)
+        if not candidates:
+            return []
+        avgdl = sum(map(self._lengths.__getitem__, shas)) / n
+        scored: list[tuple[float, str, Commit]] = []
+        for sha, doc in candidates.items():
+            norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc.length / avgdl)
+            tf = doc.tf
+            score = 0.0
+            for term, term_idf in idf.items():
+                freq = tf.get(term)
+                if freq:
+                    score += term_idf * freq * (BM25_K1 + 1.0) / (freq + norm)
+            scored.append((-score, sha, doc.item))
+        return [(commit, -negated) for negated, _, commit in heapq.nsmallest(k, scored)]
 
 
-def bm25_idf(n: int, df: dict[str, int]) -> dict[str, float]:
-    """The +0.5-smoothed idf of each term of ``df`` in ``n`` documents."""
-    return {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
+def build_bm25_index(commits) -> Bm25Index:
+    """A BM25 index holding ``commits``."""
+    index = Bm25Index()
+    index.add(commits)
+    return index
 
 
-def bm25_rank(documents, query_terms, idf: dict[str, float], avgdl: float, k: int):
-    """Okapi BM25 top-k of ``documents``, ties on ascending sha. Each
-    document's ``tf`` must be filled, and ``idf`` must hold every query term
-    that a document holds. A document's shared terms are summed in
-    ``query_terms``' order."""
-    weights = [(term, idf[term]) for term in query_terms if term in idf]
-    scored: list[tuple[float, str, int, Commit]] = []
-    for position, doc in enumerate(documents):
-        norm = BM25_K1 * (1.0 - BM25_B + BM25_B * doc.length / avgdl)
-        tf = doc.tf
-        score = 0.0
-        for term, term_idf in weights:
-            freq = tf.get(term)
-            if freq:
-                score += term_idf * freq * (BM25_K1 + 1.0) / (freq + norm)
-        scored.append((-score, doc.item.sha, position, doc.item))
-    return [(commit, -negated) for negated, _, _, commit in heapq.nsmallest(k, scored)]
-
-
-def bm25_query(index: RetrievalIndex, query: str, k: int = 10) -> list[tuple[Commit, float]]:
-    """Okapi BM25 top-k with the +0.5-smoothed idf; every document sharing a
-    term is a candidate, and only those are scored."""
-    query_terms = tokenize(query)
-    if not query_terms:
-        return []
-    df, candidates = lookup(index, query_terms)
-    if not candidates:
-        return []
-    documents = index.documents
-    for doc in documents:
-        doc.terms()  # avgdl needs every length: the first query tokenizes them all
-    avgdl = sum(doc.length for doc in documents) / len(documents)
-    idf = bm25_idf(len(documents), df)
-    return bm25_rank([documents[i] for i in candidates], query_terms, idf, avgdl, k)
+def bm25_query(index: Bm25Index, query: str, k: int = 10) -> list[tuple[Commit, float]]:
+    """BM25 top-k over every commit the index holds."""
+    return index.search(index._lengths, query, k)

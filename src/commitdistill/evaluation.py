@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from . import gitio
-from .baselines import bm25_idf, bm25_rank, grep_search
+from .baselines import Bm25Index, grep_search
 from .extraction import extract_commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
@@ -97,7 +97,7 @@ class TimeTravelCase:
 
 def budget_pack(candidates: Sequence[str], budget: float) -> list[str]:
     """Greedy skip-and-continue packing of ranked candidates into a budget."""
-    if budget <= 0:
+    if not budget > 0:
         raise ValueError("budget must be positive")
     packed: list[str] = []
     remaining = budget
@@ -408,34 +408,14 @@ def cd_retrievers(theta: float = DEFAULT_THETA) -> dict[str, CommitRetriever]:
 
 
 def bm25_retriever() -> CommitRetriever:
-    """BM25 over each window, from run-wide postings to which a commit is
+    """BM25 over each window, from one run-wide index to which a commit is
     added, tokenized, when a window first holds it."""
-    lengths: dict[str, int] = {}
-    postings = Postings()
+    index = Bm25Index()
 
     def run(window: list[Commit], query_text: str) -> list[str]:
-        for commit in [c for c in window if c.sha not in lengths]:
-            doc = Document(commit, commit.message)
-            postings.add(commit.sha, doc)
-            lengths[commit.sha] = doc.length
-        query_terms = tokenize(query_text)
-        if not query_terms:
-            return []
+        index.add(window)
         shas = [commit.sha for commit in window]
-        members = set(shas)
-        df: dict[str, int] = {}
-        candidates: dict[str, Document] = {}
-        for term in query_terms:
-            held = postings.within(term, members)
-            if held:
-                df[term] = len(held)
-                candidates.update(held)
-        if not candidates:
-            return []
-        n = len(window)
-        avgdl = sum(map(lengths.__getitem__, shas)) / n
-        ranked = bm25_rank(candidates.values(), query_terms, bm25_idf(n, df), avgdl, EVAL_K)
-        return [commit.sha for commit, _ in ranked]
+        return [commit.sha for commit, _ in index.search(shas, query_text, EVAL_K)]
 
     return run
 

@@ -19,10 +19,8 @@ from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import Any
 
 from .store import KnowledgeUnit
@@ -65,8 +63,9 @@ class RankedHit:
 class Document:
     """What a ranker scores: the item it returns (a unit for TF-IDF, a commit
     for BM25) and the item's text. The text's term counts ``tf`` and its
-    ``length`` are plain attributes, filled by ``terms()`` when a query first
-    needs them; until then ``tf`` is None."""
+    ``length`` are plain attributes, filled by ``terms()`` when first needed
+    (for TF-IDF by a query, for BM25 when the commit is added); until then
+    ``tf`` is None."""
 
     __slots__ = ("item", "text", "tf", "length")
 
@@ -102,41 +101,30 @@ class RetrievalIndex:
     def __init__(self, documents: list[Document]) -> None:
         self.documents = documents
         self._postings: dict[str, list[int]] = {}
-        self._folded: tuple[str, list[int]] | None = None
+        self._folded: list[str] | None = None
 
     def postings(self, term: str) -> list[int]:
         """Positions of the documents holding ``term``. Only documents whose
-        folded text contains the folded term are tokenized, so every document
-        listed has its ``tf`` and ``length`` filled."""
-        positions = self._postings.get(term)
-        if positions is None:
-            documents = self.documents
-            positions = [idx for idx in self._containing(term.casefold()) if term in documents[idx].terms()]
-            self._postings[term] = positions
-        return positions
+        casefolded text contains the folded term are tokenized, so every
+        document listed has its ``tf`` and ``length`` filled.
 
-    def _containing(self, needle: str) -> list[int]:
-        """Positions of the documents whose casefolded text contains
-        ``needle``, found by searching all of them joined into one string.
-
-        The search never misses a holder: ``casefold`` maps each character
+        The text test never misses a holder: ``casefold`` maps each character
         on its own, so a token's fold is a substring of its text's fold.
         ``lower`` is not enough: ``tokenize("AΣ")`` gives ``aς``, but
-        ``"AΣ'B".lower()`` holds ``aσ``. A match across the joint of two
-        texts only adds a candidate, which the caller's ``tf`` test drops.
+        ``"AΣ'B".lower()`` holds ``aσ``.
         """
-        if self._folded is None:
-            texts = [doc.text.casefold() for doc in self.documents]
-            starts = list(accumulate((len(text) + 1 for text in texts), initial=0))
-            self._folded = ("\n".join(texts), starts)
-        joined, starts = self._folded
-        found: list[int] = []
-        at = joined.find(needle)
-        while at >= 0:
-            idx = bisect_right(starts, at) - 1
-            found.append(idx)
-            at = joined.find(needle, starts[idx + 1])
-        return found
+        positions = self._postings.get(term)
+        if positions is None:
+            folded = self._folded
+            if folded is None:
+                folded = self._folded = [doc.text.casefold() for doc in self.documents]
+            needle = term.casefold()
+            documents = self.documents
+            positions = [
+                idx for idx, text in enumerate(folded) if needle in text and term in documents[idx].terms()
+            ]
+            self._postings[term] = positions
+        return positions
 
 
 class Postings:
@@ -261,7 +249,7 @@ def query(
     """Top-k hits scoring at least theta; ties break on ascending unit id."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if theta < 0:
+    if not theta >= 0:
         raise ValueError("theta must be >= 0")
     query_tf = tokenize(q)
     if not query_tf:

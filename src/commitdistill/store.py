@@ -226,7 +226,8 @@ def _load(path: Path) -> KnowledgeStore:
     if not isinstance(payload, dict):
         raise ValueError(f"knowledge store {path} must hold a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    # type(): True and 1.0 compare equal to 1 but are not the integer 1
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(
             f"knowledge store {path} has schema_version {version!r}; "
             f"this version reads {SCHEMA_VERSION}"

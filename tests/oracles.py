@@ -17,7 +17,11 @@ own commits, units and indexes, so that the files the CLI writes can be
 compared byte for byte. ``CommitDocumentsOracle`` with
 ``cd_retrievers_per_window_oracle``, and ``bm25_retriever_per_window_oracle``,
 are the per-window indexes that the run-wide postings of
-``CommitDocuments.rank`` and ``bm25_retriever`` replaced. ``tokenize_oracle``
+``CommitDocuments.rank`` and ``bm25_retriever`` replaced; the latter searches
+with ``bm25_query_lazy_oracle``, BM25 on the lazy ``RetrievalIndex`` before
+every BM25 search moved to ``baselines.Bm25Index``. ``joined_postings_oracle``
+is the joined-text search that ``RetrievalIndex.postings`` replaced with a
+scan of each casefolded text. ``tokenize_oracle``
 (which splits identifiers at ``_`` before the camel-case split),
 ``tokenize_uncached_oracle`` (every word split anew) and ``normalize_oracle``
 (a closed-fence pass, then an open-fence pass) are the earlier text passes
@@ -31,19 +35,22 @@ must give in the same order, or whose error line it must raise.
 """
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import re
 import subprocess
+from bisect import bisect_right
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from datetime import datetime
+from itertools import accumulate
 from typing import Any
 
 from commitdistill import evaluation as ev
 from commitdistill import extraction as ex
 from commitdistill import gitio, retrieval, store
-from commitdistill.baselines import bm25_query, grep_search
+from commitdistill.baselines import grep_search
 from commitdistill.extraction import KnowledgeUnit, extract_commit_units, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
@@ -599,9 +606,58 @@ def cd_retrievers_per_window_oracle(theta: float = DEFAULT_THETA) -> dict:
     return {"cd_v1": run_for(False), "cd_v2": run_for(True)}
 
 
+def joined_postings_oracle(texts, term: str) -> list[int]:
+    """``RetrievalIndex.postings`` as a search of all casefolded texts joined
+    into one string: each ``str.find`` hit is mapped to its text by bisecting
+    the texts' start offsets, and a text is kept if its tokens hold ``term``.
+    A hit across the joint of two texts only adds a candidate."""
+    folded = [text.casefold() for text in texts]
+    starts = list(accumulate((len(text) + 1 for text in folded), initial=0))
+    joined = "\n".join(folded)
+    found: list[int] = []
+    at = joined.find(term.casefold())
+    while at >= 0:
+        idx = bisect_right(starts, at) - 1
+        found.append(idx)
+        at = joined.find(term.casefold(), starts[idx + 1])
+    return [idx for idx in found if term in tokenize(texts[idx])]
+
+
+def bm25_query_lazy_oracle(
+    index: retrieval.RetrievalIndex, query_text: str, k: int = 10, k1: float = 1.5, b: float = 0.75
+):
+    """``baselines.bm25_query`` over the lazy ``RetrievalIndex``: postings
+    found per query term, then every document tokenized for avgdl, and the
+    candidates ranked with ties on ascending sha."""
+    query_terms = tokenize(query_text)
+    if not query_terms:
+        return []
+    df, candidates = retrieval.lookup(index, query_terms)
+    if not candidates:
+        return []
+    documents = index.documents
+    for doc in documents:
+        doc.terms()
+    n = len(documents)
+    avgdl = sum(doc.length for doc in documents) / n
+    idf = {term: math.log((n - count + 0.5) / (count + 0.5)) for term, count in df.items()}
+    weights = [(term, idf[term]) for term in query_terms if term in idf]
+    scored = []
+    for position in candidates:
+        doc = documents[position]
+        norm = k1 * (1.0 - b + b * doc.length / avgdl)
+        score = 0.0
+        for term, term_idf in weights:
+            freq = doc.tf.get(term)
+            if freq:
+                score += term_idf * freq * (k1 + 1.0) / (freq + norm)
+        scored.append((-score, doc.item.sha, position, doc.item))
+    return [(commit, -negated) for negated, _, _, commit in heapq.nsmallest(k, scored)]
+
+
 def bm25_retriever_per_window_oracle():
     """BM25 with a fresh ``RetrievalIndex`` per window, searched with
-    ``baselines.bm25_query``; each commit's document is kept across windows."""
+    ``bm25_query_lazy_oracle``; each commit's document is kept across windows."""
     documents: dict = {}
 
     def run(window, query_text: str) -> list[str]:
@@ -609,7 +665,7 @@ def bm25_retriever_per_window_oracle():
             if commit.sha not in documents:
                 documents[commit.sha] = retrieval.Document(commit, commit.message)
         index = retrieval.RetrievalIndex([documents[commit.sha] for commit in window])
-        return [commit.sha for commit, _ in bm25_query(index, query_text, k=EVAL_K)]
+        return [commit.sha for commit, _ in bm25_query_lazy_oracle(index, query_text, k=EVAL_K)]
 
     return run
 

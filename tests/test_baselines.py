@@ -3,7 +3,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from commitdistill import baselines, retrieval
+from commitdistill import baselines
 from commitdistill.gitio import Commit
 
 from oracles import bm25_oracle
@@ -70,16 +70,16 @@ class TestBm25:
     def test_zero_overlap_returns_nothing(self, window):
         index = baselines.build_bm25_index(window)
         assert baselines.bm25_query(index, "quantum decoherence", k=5) == []
-
-    def test_out_of_vocabulary_query_tokenizes_no_document(self, window, monkeypatch):
-        index = baselines.build_bm25_index(window)
-        tokenized = []
-        real_tokenize = retrieval.tokenize
-        monkeypatch.setattr(retrieval, "tokenize", lambda text: tokenized.append(text) or real_tokenize(text))
-        assert baselines.bm25_query(index, "quantum decoherence", k=5) == []
-        assert tokenized == []
         assert baselines.bm25_query(index, "cookie", k=5)
-        assert len(tokenized) == len(window)  # avgdl: a query with a hit tokenizes them all
+
+    def test_search_over_held_commits_ranks_them_as_their_own_index(self, window):
+        index = baselines.build_bm25_index(window)
+        index.add(window[:2])  # already held: nothing changes
+        for subset in (window[1:4], window[::2], window[4:], []):
+            shas = [commit.sha for commit in subset]
+            for query in ("redirect loop", "retry budget backoff", "cookie jar", "initial"):
+                want = baselines.bm25_query(baselines.build_bm25_index(subset), query, k=5)
+                assert index.search(shas, query, 5) == want
 
     def test_five_document_fixture_matches_okapi_oracle(self, window):
         index = baselines.build_bm25_index(window)

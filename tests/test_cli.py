@@ -147,6 +147,8 @@ class TestStoreFile:
             ("[]", "must hold a JSON object"),
             ('{"units": []}', "schema_version None"),
             ('{"schema_version": 99, "units": []}', "schema_version 99"),
+            ('{"schema_version": true, "units": []}', "schema_version True"),
+            ('{"schema_version": 1.0, "units": []}', "schema_version 1.0"),
             ('{"schema_version": 1}', "no units list"),
             ('{"schema_version": 1, "units": {}}', "no units list"),
             ('{"schema_version": 1, "units": [{"id": "abc", "type": "fact"}]}',

@@ -44,6 +44,8 @@ class TestBudgetPack:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             ev.budget_pack(["x"], 0)
+        with pytest.raises(ValueError):
+            ev.budget_pack(["x"], float("nan"))
 
 
 class TestBudgetHit:

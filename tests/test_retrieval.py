@@ -12,6 +12,7 @@ from oracles import (
     bm25_query_oracle,
     build_bm25_index_oracle,
     build_index_oracle,
+    joined_postings_oracle,
     query_oracle,
     tfidf_oracle,
     tokenize_oracle,
@@ -107,6 +108,24 @@ def test_lower_would_miss_a_final_sigma():
     assert "aς" in tokenize("AΣ'B")
     assert "aς" not in "AΣ'B".lower()
     assert "aς".casefold() in "AΣ'B".casefold()
+
+
+# Characters whose lower and casefold differ (final sigma, dotted capital I,
+# sharp s, the fi ligature), line breaks, and word separators.
+_FOLD_TEXTS = st.lists(st.text(alphabet="aAsSσΣςiİßﬁf '_\n", max_size=12), max_size=6)
+
+
+@settings(max_examples=200)
+@given(_FOLD_TEXTS, st.lists(st.text(alphabet="aAsSσΣςiİßﬁf", min_size=1, max_size=4), max_size=3))
+@example(["AΣ'B", "", "aς\nΣ"], ["aς"])
+@example(["Straße\nﬁle", "STRASSE", "İstanbul", ""], ["ss", "fi"])
+def test_postings_scan_matches_joined_text_search(texts, words):
+    """Every term of the texts, and a few more, finds the same positions by
+    the scan of each folded text as by the joined-text search."""
+    index = retrieval.RetrievalIndex([retrieval.Document(i, text) for i, text in enumerate(texts)])
+    terms = set().union(*map(tokenize, texts), *map(tokenize, words))
+    for term in sorted(terms) + ["absent"]:
+        assert index.postings(term) == joined_postings_oracle(texts, term)
 
 
 class TestLazyIndex:
@@ -220,6 +239,8 @@ class TestQuery:
             query(index, "alpha", k=0)
         with pytest.raises(ValueError):
             query(index, "alpha", theta=-0.1)
+        with pytest.raises(ValueError):
+            query(index, "alpha", theta=float("nan"))
 
     def test_neutral_parameters_reduce_to_plain_tfidf(self):
         units = [
