@@ -70,8 +70,8 @@ def _verify_manifest_arg(manifest_path: str | None) -> None:
 def cmd_extract(args: argparse.Namespace) -> int:
     from . import extraction, gitio
 
-    commits = gitio.list_commits(args.repo, args.max_commits)
-    units = extraction.extract_commits(commits, fallback_enabled=args.fallback == "on")
+    with gitio.CommitLog(args.repo, args.max_commits) as commits:
+        units = extraction.extract_commits(commits, fallback_enabled=args.fallback == "on")
     try:
         existing = store.load(args.repo)
         stored = True
@@ -83,11 +83,11 @@ def cmd_extract(args: argparse.Namespace) -> int:
         store.save(merged, args.repo)
     counts = merged.counts_by_type()
     total = len(merged.units)
-    per_kc = (total / len(commits) * 1000.0) if commits else 0.0
+    per_kc = (total / commits.count * 1000.0) if commits.count else 0.0
     print(f"facts: {counts['fact']}")
     print(f"skills: {counts['skill']}")
     print(f"patterns: {counts['pattern']}")
-    print(f"total: {total} units from {len(commits)} commits ({per_kc:.1f} per 1000 commits)")
+    print(f"total: {total} units from {commits.count} commits ({per_kc:.1f} per 1000 commits)")
     print(f"new: {total - before}")
     return 0
 

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import hashlib
 import re
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 
 from . import gitio
 from .gitio import Commit
@@ -247,8 +249,54 @@ _FOLDS_ONTO_ASCII = ("\u0130", "\u0131", "\u017f", "\u212a")
 
 
 @lru_cache(maxsize=64)
-def _distinct_triggers(rules: tuple[HeuristicRule, ...]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(trigger for rule in rules for trigger in rule.triggers))
+def _trigger_masks(rules: tuple[HeuristicRule, ...]) -> tuple[tuple[tuple[str, int], ...], ...]:
+    """Each distinct trigger of ``rules`` with a mask of the rules it opens,
+    bit i for ``rules[i]``; and each of ``_FOLDS_ONTO_ASCII`` with a mask of
+    every rule."""
+    masks: dict[str, int] = {}
+    for bit, rule in enumerate(rules):
+        for trigger in rule.triggers:
+            masks[trigger] = masks.get(trigger, 0) | 1 << bit
+    every = (1 << len(rules)) - 1
+    return tuple(masks.items()), tuple((fold, every) for fold in _FOLDS_ONTO_ASCII)
+
+
+@lru_cache(maxsize=1024)
+def _rules_of(rules: tuple[HeuristicRule, ...], mask: int) -> tuple[HeuristicRule, ...]:
+    return tuple(rule for bit, rule in enumerate(rules) if mask >> bit & 1)
+
+
+def _holders(texts: list[str], needles) -> list[int]:
+    """Per text, the OR of the masks of the ``(needle, mask)`` pairs whose
+    needle it holds. One str.find sweep per needle runs over the texts
+    joined by a newline, which no needle holds, and a hit skips the rest of
+    its text; a lone text takes one ``in`` test per needle."""
+    if len(texts) == 1:
+        (text,) = texts
+        found = 0
+        for needle, mask in needles:
+            if needle in text:
+                found |= mask
+        return [found]
+    joined = "\n".join(texts)
+    ends = list(accumulate(len(text) + 1 for text in texts))
+    found = [0] * len(texts)
+    for needle, mask in needles:
+        at = joined.find(needle)
+        while at >= 0:
+            i = bisect_right(ends, at)
+            found[i] |= mask
+            at = joined.find(needle, ends[i])
+    return found
+
+
+def _rules_to_run(texts: list[str], rules: tuple[HeuristicRule, ...]) -> list[tuple[HeuristicRule, ...]]:
+    """Per normalized text, the rules with a trigger in its lowered text, in
+    rule order; every rule for a text holding one of ``_FOLDS_ONTO_ASCII``,
+    since its keywords can match where no trigger is found."""
+    triggers, folds = _trigger_masks(rules)
+    masks = _holders([text.lower() for text in texts], triggers)
+    return [_rules_of(rules, mask | fold) for mask, fold in zip(masks, _holders(texts, folds))]
 
 
 def _keyword_hits(rule: HeuristicRule, text: str):
@@ -379,27 +427,25 @@ def extract_units(
 ) -> list[KnowledgeUnit]:
     """Run the rules over normalized text; dedupe by id, keep rule order.
 
-    One sweep finds which triggers the text holds; only the rules with one of
-    them run, over sentence boundaries found once. A text holding one of
-    ``_FOLDS_ONTO_ASCII`` runs every rule, since its keywords can match where
-    no trigger is found.
+    Only the rules with a trigger in the text run (see ``_rules_to_run``),
+    over sentence boundaries found once.
     """
     if not rules:
         raise ValueError("rules must be nonempty")
     normalized = normalize(text)
-    if any(char in normalized for char in _FOLDS_ONTO_ASCII):
-        present = None  # every rule runs
-    else:
-        lowered = normalized.lower()
-        present = {trigger for trigger in _distinct_triggers(rules) if trigger in lowered}
-        if not present:
-            return []
+    return _units(normalized, meta, _rules_to_run([normalized], rules)[0])
+
+
+def _units(
+    normalized: str, meta: dict[str, str], rules: tuple[HeuristicRule, ...]
+) -> list[KnowledgeUnit]:
+    """The units of ``rules`` over normalized text, deduplicated by id, in rule order."""
+    if not rules:
+        return []
     bounds = [match.start() for match in _BOUNDARY_RE.finditer(normalized)]
     units: list[KnowledgeUnit] = []
     seen: set[str] = set()
     for rule in rules:
-        if present is not None and present.isdisjoint(rule.triggers):
-            continue
         hits = _keyword_hits(rule, normalized)
         for capture, start, end in _SPAN_KINDS[rule.span](normalized, bounds, hits):
             content = normalized[capture:end].strip()
@@ -445,13 +491,29 @@ def subject_fallback_unit(commit: Commit) -> KnowledgeUnit | None:
     enforce that precondition. Merge/release/bot subjects and contents that
     stay under the minimum unit length yield None.
     """
+    return _fallback_unit(commit, commit_meta(commit), None)
+
+
+def _normalized_body(commit: Commit, normalized: str | None) -> str:
+    """``normalize(commit.body)``, cut from ``normalized``, the normalized
+    message, where the cut is exact: after its first line break, when the
+    subject holds no line break and no `` ` `` (a fence opened there runs on
+    into the body), and is not blank. Tags and inline code end within their
+    line, so a ``<`` in the subject does not reach the body."""
+    subject = commit.subject
+    if normalized is None or "\n" in subject or "`" in subject or not subject.strip():
+        return normalize(commit.body)
+    return normalized.partition("\n")[2]
+
+
+def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str | None) -> KnowledgeUnit | None:
     if gitio.is_bot_release_or_merge_subject(commit.subject):
         return None
     cleaned = gitio.clean_subject(commit.subject)
     if not cleaned:
         return None
     content = cleaned
-    body = normalize(commit.body)
+    body = _normalized_body(commit, normalized)
     lead = first_sentence(body) if body else ""
     if lead:
         content = f"{cleaned.rstrip('.')}. {lead}"
@@ -465,7 +527,7 @@ def subject_fallback_unit(commit: Commit) -> KnowledgeUnit | None:
         content=content,
         weight=FALLBACK_PRIOR,
         context=commit.subject,
-        meta=commit_meta(commit),
+        meta=meta,
     )
 
 
@@ -479,17 +541,33 @@ def extract_commit_units(commit: Commit, fallback_enabled: bool = True) -> list[
     return units
 
 
-def extract_commits(commits: list[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
-    """Union of per-commit units, deduplicated by id, sorted by id."""
+def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
+    """Union of the units ``extract_commit_units`` gives each commit,
+    deduplicated by id, sorted by id.
+
+    A ``gitio.CommitLog`` is extracted as it is read, one read's worth of
+    commits at a time; any other iterable in one batch. Each message of a
+    batch is normalized once, one sweep over the batch finds the rules each
+    can fire (``_rules_to_run``), and a rule-silent commit's fallback takes
+    its body from the normalized message.
+    """
+    batches = commits.batches() if isinstance(commits, gitio.CommitLog) else [list(commits)]
     by_id: dict[str, KnowledgeUnit] = {}
-    for commit in commits:
-        for unit in extract_commit_units(commit, fallback_enabled):
-            by_id.setdefault(unit.id, unit)
+    for batch in batches:
+        texts = [normalize(commit.message) for commit in batch]
+        for commit, text, rules in zip(batch, texts, _rules_to_run(texts, DEFAULT_RULES)):
+            meta = commit_meta(commit)
+            units = _units(text, meta, rules)
+            if not units and fallback_enabled:
+                fallback = _fallback_unit(commit, meta, text)
+                units = [] if fallback is None else [fallback]
+            for unit in units:
+                by_id.setdefault(unit.id, unit)
     return sorted(by_id.values(), key=lambda unit: unit.id)
 
 
 def extract_repository(
     repo_path, max_count: int = 5000, fallback_enabled: bool = True
 ) -> list[KnowledgeUnit]:
-    commits = gitio.list_commits(repo_path, max_count)
-    return extract_commits(commits, fallback_enabled)
+    with gitio.CommitLog(repo_path, max_count) as commits:
+        return extract_commits(commits, fallback_enabled)

@@ -8,9 +8,11 @@ bytes are rejected rather than silently corrupted.
 from __future__ import annotations
 
 import codecs
+import io
 import re
 import subprocess
 import tempfile
+from collections.abc import Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,9 +25,9 @@ RECORD_SEP = "\x1e"
 _LOG_FORMAT = RECORD_SEP + FIELD_SEP.join(["%H", "%an", "%at", "%ad", "%s", "%b", ""])
 _LOG_FIELDS = 7
 _LOG_ARGS = ("log", "--date=iso-strict", f"--pretty=format:{_LOG_FORMAT}")
-# Bytes asked of the file-list stream per read; a read returns what the pipe
-# holds, so git runs at most a pipe's worth ahead of what is asked.
-_FILES_CHUNK = 1 << 16
+# Bytes asked of git's output per read; a read returns what the pipe holds,
+# so git runs at most a pipe's worth ahead of what is asked.
+_READ_SIZE = 1 << 16
 
 _SHA_RE = re.compile(r"[0-9a-f]{40}")
 _ISSUE_REF_RE = re.compile(r"\(?#\d+\)?")
@@ -41,12 +43,12 @@ _RELEASE_SUBJECT_RE = re.compile(
 _BOT_SUBJECT_RE = re.compile(
     r"dependabot|renovate|\[bot\]|^\s*bump\b.*\bfrom\b.*\bto\b", re.IGNORECASE
 )
-_WS_RE = re.compile(r"\s+")
 
 
 class GitError(OSError):
-    """A git invocation failed; the message carries the captured stderr. An
-    OSError, so the CLI reports it as it reports any environment failure."""
+    """A git invocation failed; the message carries the captured stderr, its
+    lines joined by "; ". An OSError, so the CLI reports it as it reports any
+    environment failure."""
 
 
 class CommitParseError(GitError):
@@ -74,6 +76,12 @@ class Commit:
         return f"{self.subject}\n{self.body}" if self.body else self.subject
 
 
+def _git_error(stderr: str, fallback: str) -> GitError:
+    """A GitError carrying git's stderr on one line, or ``fallback`` if it printed none."""
+    lines = [line.strip() for line in stderr.splitlines() if line.strip()]
+    return GitError("; ".join(lines) or fallback)
+
+
 def _run_git(args: list[str], repo_path: Path | str) -> str:
     completed = subprocess.run(
         ["git", *args],
@@ -85,8 +93,7 @@ def _run_git(args: list[str], repo_path: Path | str) -> str:
         errors="replace",
     )
     if completed.returncode != 0:
-        detail = completed.stderr.strip() or f"git {' '.join(args)} exited {completed.returncode}"
-        raise GitError(detail)
+        raise _git_error(completed.stderr, f"git {' '.join(args)} exited {completed.returncode}")
     return completed.stdout
 
 
@@ -115,84 +122,28 @@ def head_sha(repo_path: Path | str) -> str:
     return _run_git(["rev-parse", "HEAD"], path).strip()
 
 
-def _parse_log(output: str) -> list[Commit]:
-    commits: list[Commit] = []
-    last_sha = "<none>"
-    for record in output.split(RECORD_SEP):
-        if not record:
-            continue
-        fields = record.split(FIELD_SEP)
-        if len(fields) != _LOG_FIELDS or not _SHA_RE.fullmatch(fields[0]):
-            offender = fields[0] if _SHA_RE.fullmatch(fields[0]) else last_sha
-            raise CommitParseError(
-                f"commit {offender}: message contains wire-format separator bytes "
-                "(0x1f/0x1e); refusing to parse"
-            )
-        sha, author, epoch, date, subject, body, _ = fields
-        last_sha = sha
-        commits.append(
-            Commit(
-                sha=sha,
-                author=author,
-                author_date=date,
-                author_epoch=int(epoch),
-                subject=subject,
-                body=body.rstrip("\n"),
-            )
-        )
-    return commits
+class _GitRecords:
+    """One running git, whose output is read as it streams, a read at a time,
+    and split into records at RECORD_SEP. It is decoded as UTF-8, U+FFFD
+    standing for bytes that are not, and CR and CRLF read as LF, as a
+    text-mode pipe reads them. Use it as a context manager: leaving it
+    closes the stream, kills git and reaps it."""
 
-
-def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:
-    """Newest-first commits, at most ``max_count``."""
-    if max_count < 1:
-        raise ValueError("max_count must be >= 1")
-    path = _ensure_repo(repo_path)
-    if not _has_commits(path):
-        return []
-    return _parse_log(_run_git([*_LOG_ARGS, "-n", str(max_count)], path))
-
-
-def changed_files_map(repo_path: Path | str) -> dict[str, set[str]]:
-    """First-parent changed-file sets of every commit, read through ChangedFiles."""
-    with ChangedFiles(repo_path) as files:
-        files.through(len(files.commits) - 1)
-    return {commit.sha: commit.changed_files for commit in files.commits}
-
-
-class ChangedFiles:
-    """A whole newest-first listing of the repository, ``commits``, and the
-    first-parent name-only file sets of its commits, read from a second
-    ``git log`` only as far as ``through`` asks.
-
-    The second git starts first, so that it runs ahead while the listing is
-    read. Its stream is parsed in chunks, and each commit it lists must be the
-    listing's commit at the same position, or GitError is raised. Use it as a
-    context manager: leaving it closes the stream, kills git and reaps it.
-    """
-
-    def __init__(self, repo_path: Path | str) -> None:
-        self.commits: list[Commit] = []
-        self._read = 0  # commits[:_read] have their changed_files set
-        self._proc: subprocess.Popen | None = None
-        self._errors = None
-        self._decoder = codecs.getincrementaldecoder("utf-8")(errors="replace")
-        self._tail = ""
-        path = _ensure_repo(repo_path)
-        if not _has_commits(path):
-            return
+    def __init__(self, args: list[str], path: Path) -> None:
+        self._args = args
         self._errors = tempfile.TemporaryFile()
-        self._proc = subprocess.Popen(
-            ["git", "log", f"--pretty=format:{RECORD_SEP}%H", "--diff-merges=first-parent", "--name-only"],
-            cwd=str(path), stdout=subprocess.PIPE, stderr=self._errors,
-        )
         try:
-            self.commits = _parse_log(_run_git(list(_LOG_ARGS), path))
+            self._proc = subprocess.Popen(
+                ["git", *args], cwd=str(path), stdout=subprocess.PIPE, stderr=self._errors
+            )
         except BaseException:
-            self.close()
+            self._errors.close()
             raise
+        self._decoder = io.IncrementalNewlineDecoder(
+            codecs.getincrementaldecoder("utf-8")(errors="replace"), translate=True
+        )
 
-    def __enter__(self) -> "ChangedFiles":
+    def __enter__(self) -> "_GitRecords":
         return self
 
     def __exit__(self, *exc_info) -> None:
@@ -209,20 +160,150 @@ class ChangedFiles:
             proc.wait()
             self._errors.close()
 
+    def reads(self) -> Iterator[list[str]]:
+        """The nonempty records that each read completes, and at the end the
+        last one, once git has exited 0; GitError if it has not."""
+        proc, tail = self._proc, ""
+        while chunk := proc.stdout.read1(_READ_SIZE):
+            *records, tail = (tail + self._decoder.decode(chunk)).split(RECORD_SEP)
+            yield [record for record in records if record]
+        code = proc.wait()
+        if code != 0:
+            self._errors.seek(0)
+            detail = self._errors.read().decode("utf-8", "replace")
+            raise _git_error(detail, f"git {self._args[0]} exited {code}")
+        tail += self._decoder.decode(b"", final=True)
+        if tail:
+            yield [tail]
+
+
+class CommitLog:
+    """Newest-first commits of the repository, at most ``max_count`` if given,
+    parsed from ``git log`` as it streams. Iterate it for the commits, or
+    take ``batches()``, the commits of one read at a time; ``count`` is the
+    number parsed so far. Use it as a context manager: leaving it, read to
+    the end or not, stops git.
+    """
+
+    def __init__(self, repo_path: Path | str, max_count: int | None = None) -> None:
+        if max_count is not None and max_count < 1:
+            raise ValueError("max_count must be >= 1")
+        self.count = 0
+        self._last_sha = "<none>"
+        self.path = _ensure_repo(repo_path)
+        self.empty = not _has_commits(self.path)
+        self._git = None
+        if not self.empty:
+            limit = [] if max_count is None else ["-n", str(max_count)]
+            self._git = _GitRecords([*_LOG_ARGS, *limit], self.path)
+
+    def __enter__(self) -> "CommitLog":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._git is not None:
+            self._git.close()
+
+    def __iter__(self) -> Iterator[Commit]:
+        for batch in self.batches():
+            yield from batch
+
+    def batches(self) -> Iterator[list[Commit]]:
+        if self._git is None:
+            return
+        for records in self._git.reads():
+            yield [self._parse(record) for record in records]
+
+    def _parse(self, record: str) -> Commit:
+        fields = record.split(FIELD_SEP)
+        if len(fields) != _LOG_FIELDS or not _SHA_RE.fullmatch(fields[0]):
+            offender = fields[0] if _SHA_RE.fullmatch(fields[0]) else self._last_sha
+            raise CommitParseError(
+                f"commit {offender}: message contains wire-format separator bytes "
+                "(0x1f/0x1e); refusing to parse"
+            )
+        sha, author, epoch, date, subject, body, _ = fields
+        self._last_sha = sha
+        self.count += 1
+        return Commit(
+            sha=sha,
+            author=author,
+            author_date=date,
+            author_epoch=int(epoch),
+            subject=subject,
+            body=body.rstrip("\n"),
+        )
+
+
+def list_commits(repo_path: Path | str, max_count: int = 5000) -> list[Commit]:
+    """Newest-first commits, at most ``max_count``."""
+    with CommitLog(repo_path, max_count) as log:
+        return list(log)
+
+
+def changed_files_map(repo_path: Path | str) -> dict[str, set[str]]:
+    """First-parent changed-file sets of every commit, read through ChangedFiles."""
+    with ChangedFiles(repo_path) as files:
+        files.through(len(files.commits) - 1)
+    return {commit.sha: commit.changed_files for commit in files.commits}
+
+
+class ChangedFiles:
+    """A whole newest-first listing of the repository, ``commits``, and the
+    first-parent name-only file sets of its commits, read from a second
+    ``git log`` only as far as ``through`` asks.
+
+    Both gits start before the listing is read, so that the second runs
+    ahead meanwhile. Its records are parsed a read at a time, and each
+    commit it lists must be the listing's commit at the same position, or
+    GitError is raised. Use it as a context manager: leaving it closes the
+    stream, kills git and reaps it.
+    """
+
+    def __init__(self, repo_path: Path | str) -> None:
+        self.commits: list[Commit] = []
+        self._read = 0  # commits[:_read] have their changed_files set
+        self._files: _GitRecords | None = None
+        with CommitLog(repo_path) as listing:
+            if listing.empty:
+                return
+            self._files = _GitRecords(
+                ["log", f"--pretty=format:{RECORD_SEP}%H", "--diff-merges=first-parent", "--name-only"],
+                listing.path,
+            )
+            try:
+                self.commits = list(listing)
+            except BaseException:
+                self.close()
+                raise
+        self._records = self._files.reads()
+
+    def __enter__(self) -> "ChangedFiles":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        if self._files is not None:
+            self._files.close()
+
     def through(self, position: int) -> None:
         """Set ``changed_files`` on every commit up to ``position``."""
         while self._read <= position:
-            chunk = self._proc.stdout.read1(_FILES_CHUNK)
-            records = (self._tail + self._decoder.decode(chunk, final=not chunk)).split(RECORD_SEP)
-            self._tail = records.pop() if chunk else ""
+            records = next(self._records, None)
+            if records is None:
+                raise GitError(
+                    f"git log listed {self._read} commits, where the first read listed {len(self.commits)}"
+                )
             for record in records:
-                if record:
-                    self._take(record)
-            if not chunk:
-                self._end(position)
+                self._take(record)
 
     def _take(self, record: str) -> None:
-        sha, *names = record.splitlines()
+        sha, *names = record.split("\n")
         commits = self.commits
         if self._read >= len(commits) or commits[self._read].sha != sha:
             listed = commits[self._read].sha if self._read < len(commits) else "no commit"
@@ -231,19 +312,6 @@ class ChangedFiles:
             )
         commits[self._read].changed_files = {name for name in names if name}
         self._read += 1
-
-    def _end(self, position: int) -> None:
-        """The stream ended before ``position``: git failed or listed too few."""
-        if self._read > position:
-            return
-        code = self._proc.wait()
-        self._errors.seek(0)
-        detail = self._errors.read().decode("utf-8", "replace").strip()
-        if code != 0:
-            raise GitError(detail or f"git log exited {code}")
-        raise GitError(
-            f"git log listed {self._read} commits, where the first read listed {len(self.commits)}"
-        )
 
 
 def clean_subject(subject: str) -> str:
@@ -254,14 +322,16 @@ def clean_subject(subject: str) -> str:
     if _MERGE_SUBJECT_RE.match(subject):
         return ""
     text = subject
-    while True:
+    # A leading tag needs "[", a prefix ":" and an issue reference "#".
+    while "[" in text or ":" in text:
         stripped = _LEADING_TAG_RE.sub("", text, count=1)
         stripped = _CONVENTIONAL_PREFIX_RE.sub("", stripped, count=1)
         if stripped == text:
             break
         text = stripped
-    text = _ISSUE_REF_RE.sub(" ", text)
-    return _WS_RE.sub(" ", text).strip()
+    if "#" in text:
+        text = _ISSUE_REF_RE.sub(" ", text)
+    return " ".join(text.split())
 
 
 def is_bot_release_or_merge_subject(subject: str) -> bool:

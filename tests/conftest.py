@@ -107,6 +107,22 @@ def build_fast_repo(path: Path, messages: list[str], base_timestamp: int = 16725
     return path
 
 
+def build_raw_repo(path: Path, messages: list[bytes], base_timestamp: int = 1672531200) -> Path:
+    """Like ``build_fast_repo``, but each message is given as the exact bytes
+    git stores: CR, invalid UTF-8 and separator bytes included."""
+    path.mkdir(parents=True, exist_ok=True)
+    run_git(path, "init", "-q", "-b", "main")
+    stream = bytearray()
+    for index, message in enumerate(messages):
+        stream += b"commit refs/heads/main\n"
+        stream += f"committer Raw Author <raw@example.com> {base_timestamp + index} +0000\n".encode()
+        stream += b"data %d\n%s\n" % (len(message), message)
+        stream += b"M 644 inline file%d.txt\ndata 2\n%d\n\n" % (index % 7, index % 10)
+    subprocess.run(["git", "fast-import", "--quiet"], cwd=path, input=bytes(stream), check=True,
+                   stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    return path
+
+
 FILLER_SUBJECTS = (
     "Merge branch 'housekeeping'",
     "v1.0.{n}",

@@ -32,6 +32,12 @@ scanned over the whole message, is the rule engine that the sentence-first
 is the store file that ``store.save`` must write byte for byte, and
 ``load_oracle`` the earlier ``store.load``, whose units the one-pass load
 must give in the same order, or whose error line it must raise.
+``list_commits_oracle`` is the reader that read all of ``git log`` before
+parsing it, which the streaming ``gitio.CommitLog`` must reproduce commit for
+commit, or whose error it must raise; ``extract_commits_oracle`` the
+per-commit extraction loop that the batched ``extraction.extract_commits``
+must reproduce unit for unit; and ``clean_subject_oracle`` the
+``clean_subject`` that ran every pass on every subject.
 """
 from __future__ import annotations
 
@@ -473,6 +479,89 @@ def metrics_oracle(rankings, truths):
     }
 
 
+def list_commits_oracle(repo_path, max_count: int = 5000) -> list[gitio.Commit]:
+    """The whole-string reader: all of ``git log`` read through a text-mode
+    pipe (so CR and CRLF read as LF), then split into records and fields."""
+    if max_count < 1:
+        raise ValueError("max_count must be >= 1")
+    path = gitio._ensure_repo(repo_path)
+    if not gitio._has_commits(path):
+        return []
+    output = gitio._run_git([*gitio._LOG_ARGS, "-n", str(max_count)], path)
+    commits: list[gitio.Commit] = []
+    last_sha = "<none>"
+    for record in output.split(gitio.RECORD_SEP):
+        if not record:
+            continue
+        fields = record.split(gitio.FIELD_SEP)
+        if len(fields) != 7 or not re.fullmatch(r"[0-9a-f]{40}", fields[0]):
+            offender = fields[0] if re.fullmatch(r"[0-9a-f]{40}", fields[0]) else last_sha
+            raise gitio.CommitParseError(
+                f"commit {offender}: message contains wire-format separator bytes "
+                "(0x1f/0x1e); refusing to parse"
+            )
+        sha, author, epoch, date, subject, body, _ = fields
+        last_sha = sha
+        commits.append(gitio.Commit(sha, author, date, int(epoch), subject, body.rstrip("\n")))
+    return commits
+
+
+def clean_subject_oracle(subject: str) -> str:
+    """``gitio.clean_subject`` with every pass run on every subject."""
+    if re.match(r"^\s*merge\s+(?:pull\s+request|(?:remote-tracking\s+)?branch)\b", subject, re.IGNORECASE):
+        return ""
+    text = subject
+    while True:
+        stripped = re.sub(r"^\s*\[[^\]]*\]\s*", "", text, count=1)
+        stripped = re.sub(r"^\s*(?:fix|bug|feat|chore)\s*:\s*", "", stripped, count=1, flags=re.IGNORECASE)
+        if stripped == text:
+            break
+        text = stripped
+    text = re.sub(r"\(?#\d+\)?", " ", text)
+    return re.sub(r"\s+", " ", text).strip()
+
+
+def subject_fallback_unit_oracle(commit) -> KnowledgeUnit | None:
+    """The subject fallback with the body normalized on its own and the
+    subject cleaned by ``clean_subject_oracle``."""
+    if gitio.is_bot_release_or_merge_subject(commit.subject):
+        return None
+    content = cleaned = clean_subject_oracle(commit.subject)
+    if not cleaned:
+        return None
+    body = ex.normalize(commit.body)
+    lead = ex.first_sentence(body) if body else ""
+    if lead:
+        content = f"{cleaned.rstrip('.')}. {lead}"
+    content = ex.truncate_at_word(content, ex.FALLBACK_CONTENT_CAP)
+    if len(content) < ex.MIN_CONTENT_LEN:
+        return None
+    return KnowledgeUnit(
+        id=ex.unit_id("pattern", content),
+        unit_type="pattern",
+        title=ex.truncate_at_word(content, ex.TITLE_CAP),
+        content=content,
+        weight=ex.FALLBACK_PRIOR,
+        context=commit.subject,
+        meta=ex.commit_meta(commit),
+    )
+
+
+def extract_commits_oracle(commits, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
+    """The per-commit loop: each message normalized and swept for triggers
+    on its own by ``extract_units``, the fallback from
+    ``subject_fallback_unit_oracle``; units deduplicated by id, sorted by id."""
+    by_id: dict[str, KnowledgeUnit] = {}
+    for commit in commits:
+        units = ex.extract_units(commit.message, ex.commit_meta(commit))
+        if not units and fallback_enabled:
+            fallback = subject_fallback_unit_oracle(commit)
+            units = [] if fallback is None else [fallback]
+        for unit in units:
+            by_id.setdefault(unit.id, unit)
+    return sorted(by_id.values(), key=lambda unit: unit.id)
+
+
 def changed_files_oracle(repo_path, sha: str) -> set[str]:
     """Name-only diff of one commit against its first parent, from git calls
     for that commit alone; a root commit diffs against the empty tree."""
@@ -488,7 +577,7 @@ def changed_files_oracle(repo_path, sha: str) -> set[str]:
         output = git("diff-tree", "--root", "-r", "--name-only", "--no-commit-id", sha)
     else:
         output = git("diff", "--name-only", f"{sha}^1", sha)
-    return {line for line in output.splitlines() if line}
+    return {line for line in output.split("\n") if line}
 
 
 def commits_with_files_oracle(repo_path) -> list[gitio.Commit]:

@@ -19,6 +19,7 @@ from oracles import (
     store_bytes_oracle,
     time_travel_payload_oracle,
 )
+from conftest import build_fast_repo, run_git
 from test_evaluation import DIFFERENTIAL_REPOS
 
 DATA = Path(__file__).parent / "data"
@@ -113,6 +114,34 @@ class TestExtract:
     def test_bad_repo_exits_2(self, tmp_path, capsys):
         assert run_cli("extract", "--repo", str(tmp_path / "missing")) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_failing_git_is_a_one_line_error(self, repo_builder, capsys):
+        root = repo_builder.commit("root")
+        repo_builder.commit("Note: the pool must drain before shutdown.")
+        (repo_builder.path / ".git" / "objects" / root[:2] / root[2:]).unlink()
+        assert run_cli("extract", "--repo", str(repo_builder.path)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("commitdistill: error: ") and root in line
+        assert not store.store_path(repo_builder.path).exists()
+
+    def test_separator_byte_after_the_first_read(self, tmp_path, capsys, monkeypatch):
+        messages = [f"fix cache race {n}\n\nNote: the cache must be warm before use {n}." for n in range(40)]
+        messages[2] = "poisoned\n\nbefore\x1eafter"
+        repo = build_fast_repo(tmp_path / "repo", messages)
+        poisoned = run_git(repo, "rev-list", "--reverse", "HEAD").split()[2]
+        store_file = store.store_path(repo)
+        assert run_cli("extract", "--repo", str(repo), "--max-commits", "10") == 0
+        kept = store_file.read_bytes()
+        capsys.readouterr()
+        # Each record is longer than one read, so git's first reads end well before the poisoned commit.
+        monkeypatch.setattr(gitio, "_READ_SIZE", 64)
+        assert run_cli("extract", "--repo", str(repo)) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert f"commit {poisoned}: message contains wire-format separator bytes" in line
+        assert store_file.read_bytes() == kept
+        store_file.unlink()
+        assert run_cli("extract", "--repo", str(repo)) == 2
+        assert not store_file.exists()
 
 
 def _one_unit_store(**override) -> str:

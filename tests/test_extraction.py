@@ -9,10 +9,17 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commitdistill import extraction as ex
+from commitdistill import gitio
 from commitdistill.gitio import Commit
 
-from conftest import RepoBuilder
-from oracles import RULES_ORACLE, extract_units_oracle, normalize_oracle
+from conftest import RepoBuilder, build_raw_repo
+from oracles import (
+    RULES_ORACLE,
+    extract_commits_oracle,
+    extract_units_oracle,
+    list_commits_oracle,
+    normalize_oracle,
+)
 
 META = {"commit": "0123abcd", "author": "Dev One", "date": "2023-01-01T00:00:00+00:00", "source": "commit"}
 
@@ -388,3 +395,60 @@ def test_no_markup_survives_extraction(text: str):
     for unit in ex.extract_units(text, META):
         assert "`" not in unit.content
         assert not re.search(r"</?[A-Za-z][^<>\n]*>", unit.content)
+
+
+# Subjects and bodies for the batched extraction: rule fragments, fallback
+# subjects, what decides whether the fallback's body can be cut from the
+# normalized message (backticks, tags, line breaks, blank subjects), CR and
+# CRLF, and the characters that re.IGNORECASE folds onto ASCII.
+_COMMIT_FRAGMENTS = _RULE_FRAGMENTS + (
+    "redirect loop on 302 chain", "fix: ", "[docs] ", "(#12)", "Merge branch 'x'", "v2.1.0",
+    "Bump a from 1 to 2", "`code`", "```", "<b>", "</b>", "<", "\r", "\r\n", "\n", "\n\n", "  ", "\t",
+    "\xa0", "\u2028", "\u0130 \u0131 \u017f \u212a", "Seen at start. More.", "",
+)
+_commit_text = st.lists(st.sampled_from(_COMMIT_FRAGMENTS), max_size=8).map("".join)
+_commits = st.lists(
+    st.tuples(st.text(alphabet="0123456789abcdef", min_size=40, max_size=40), _commit_text, _commit_text),
+    max_size=12,
+).map(lambda rows: [dataclasses.replace(_commit(subject, body), sha=sha) for sha, subject, body in rows])
+
+
+@settings(max_examples=300, deadline=None)
+@given(commits=_commits, fallback_enabled=st.booleans())
+@example(commits=[_commit("   ", "Seen at start.")], fallback_enabled=True)
+@example(commits=[_commit("redirect `x` loop", "Seen at start.")], fallback_enabled=True)
+@example(commits=[_commit("redirect\nloop on 302", "Seen at start.")], fallback_enabled=True)
+@example(commits=[_commit("redirect loop <", "b> Seen at start.")], fallback_enabled=True)
+@example(commits=[_commit("pool reuse", "You ſhould reset the pool before reuse.")], fallback_enabled=False)
+def test_batched_extraction_matches_the_per_commit_loop(commits, fallback_enabled):
+    assert ex.extract_commits(commits, fallback_enabled) == extract_commits_oracle(commits, fallback_enabled)
+
+
+@given(subject=_commit_text, body=_commit_text)
+@example(subject="redirect loop \r", body=" \n\t\nSeen at start.")
+@example(subject="loop <", body="b> tail")
+def test_a_body_cut_from_the_normalized_message_is_its_normalized_body(subject, body):
+    commit = _commit(subject, body)
+    assert ex._normalized_body(commit, ex.normalize(commit.message)) == ex.normalize(body)
+
+
+@pytest.mark.parametrize("read_size", [1 << 16, 97, 1])
+def test_extraction_of_a_streamed_log_matches_the_per_commit_loop(tmp_path, monkeypatch, read_size):
+    messages = [
+        b"Fix cache warmup crash\r\n\r\nKeyError occurs when the warmup races the loader.\r\n",
+        "Note: the \u017fession must be closed. \u0130mportant: retry\r".encode(),
+        b"redirect loop on 302 chain\n\nSeen when chasing a 302 ladder. More \xff text.",
+        b"rework resolver `bootstrap` step\n\nThe resolver should pin its cache.",
+        "pool reuse\n\nYou ſhould reset the pool before reuse.".encode(),
+        b"Merge branch 'side'",
+    ] * 4
+    repo = build_raw_repo(tmp_path / "repo", messages)
+    want = extract_commits_oracle(list_commits_oracle(repo, 10**6))
+    monkeypatch.setattr(gitio, "_READ_SIZE", read_size)
+    with gitio.CommitLog(repo) as log:
+        batches = list(log.batches())
+    assert sum(map(len, batches)) == len(messages)
+    assert len(batches) > 1 or read_size > 1000
+    with gitio.CommitLog(repo) as log:
+        assert ex.extract_commits(log) == want
+        assert log.count == len(messages)

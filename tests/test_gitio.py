@@ -1,15 +1,24 @@
 from __future__ import annotations
 
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from commitdistill import gitio
 from commitdistill.gitio import CommitParseError, GitError
 
-from conftest import RepoBuilder, recording_popen, run_git
-from oracles import as_datetime, author_datetime, changed_files_oracle, commits_with_files_oracle
+from conftest import RepoBuilder, build_raw_repo, recording_popen, run_git
+from oracles import (
+    as_datetime,
+    author_datetime,
+    changed_files_oracle,
+    clean_subject_oracle,
+    commits_with_files_oracle,
+    list_commits_oracle,
+)
 
 
 def test_single_commit_matches_rev_parse_head(repo_builder: RepoBuilder):
@@ -64,6 +73,84 @@ def test_separator_bytes_in_body_raise_parse_error(repo_builder: RepoBuilder, tm
     assert run_git(oldest.path, "cat-file", "commit", sha).endswith(f"before{separator}")
     with pytest.raises(CommitParseError, match=sha):
         gitio.list_commits(oldest.path)
+
+
+def _outcome(read):
+    """What ``read()`` returns, or the type and text of the GitError it raises."""
+    try:
+        return read()
+    except GitError as exc:
+        return type(exc), str(exc)
+
+
+def _listing(repo):
+    """The commits of a ChangedFiles listing, every file set read."""
+    with gitio.ChangedFiles(repo) as files:
+        files.through(len(files.commits) - 1)
+    return files.commits
+
+
+def test_cr_and_crlf_read_as_lf_across_one_byte_reads(tmp_path, monkeypatch):
+    repo = build_raw_repo(tmp_path / "repo", [
+        b"root",
+        "crlf na\u00efve subject\r\n\r\nline one\r\nline two\rthree\r\n".encode(),
+        "tip \u4e2d\r\n".encode(),
+    ])
+    want = list_commits_oracle(repo)
+    assert [(c.subject, c.body) for c in want] == [
+        ("tip \u4e2d", ""), ("crlf na\u00efve subject", "line one\nline two\nthree"), ("root", "")
+    ]
+    monkeypatch.setattr(gitio, "_READ_SIZE", 1)  # splits each CRLF pair and each multi-byte character
+    assert gitio.list_commits(repo) == want
+    listed = _listing(repo)
+    assert all(commit.changed_files is not None for commit in listed)
+    for commit in listed:
+        commit.changed_files = None
+    assert listed == want
+
+
+# Message pieces that stress the reader: CR and CRLF, characters that
+# re.IGNORECASE folds, multi-byte and invalid UTF-8 (cut sequences included),
+# and the separator bytes.
+_RAW_PIECES = [
+    b"fix cache", b"subject", b" ", b"\t", b"\n", b"\n\n", b"\r", b"\r\n", b"\r\n\r\n",
+    "\u0130 \u0131 \u017f \u212a".encode(), "caf\u00e9 \u4e2d".encode(), "\U0001f600".encode(),
+    b"\xff", b"\xc3", b"\xe4\xb8", b"\x1e", b"\x1f", b"`x`", b"<b>",
+]
+_raw_message = st.lists(st.sampled_from(_RAW_PIECES), max_size=10).map(b"".join)
+
+
+@settings(max_examples=40, deadline=None)
+@given(messages=st.lists(_raw_message, min_size=1, max_size=6), read_size=st.sampled_from([1, 2, 3, 7, 64, 1 << 16]))
+def test_streamed_listing_matches_the_whole_string_reader(messages, read_size):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        repo = build_raw_repo(Path(tmp) / "repo", messages)
+        want = _outcome(lambda: list_commits_oracle(repo, 10**6))
+        patch.setattr(gitio, "_READ_SIZE", read_size)
+        assert _outcome(lambda: gitio.list_commits(repo, 10**6)) == want
+        listed = _outcome(lambda: _listing(repo))
+        if isinstance(listed, list):
+            for commit in listed:
+                commit.changed_files = None
+        assert listed == want
+
+
+def test_a_failing_git_is_one_line(repo_builder: RepoBuilder):
+    root = repo_builder.commit("root")
+    repo_builder.commit("tip")
+    (repo_builder.path / ".git" / "objects" / root[:2] / root[2:]).unlink()
+    for read in (lambda: gitio.list_commits(repo_builder.path), lambda: _listing(repo_builder.path)):
+        with pytest.raises(GitError) as excinfo:
+            read()
+        message = str(excinfo.value)
+        assert root in message and "; " in message and "\n" not in message
+
+
+def test_file_names_split_only_at_line_feeds(repo_builder: RepoBuilder):
+    run_git(repo_builder.path, "config", "core.quotePath", "false")
+    names = {"a\u2028b.txt", "c\x85d.txt", "e\u2029f.txt"}
+    sha = repo_builder.commit("odd names", files={name: "x\n" for name in names})
+    assert gitio.changed_files_map(repo_builder.path)[sha] == names == changed_files_oracle(repo_builder.path, sha)
 
 
 def test_empty_repository_lists_nothing(tmp_path):
@@ -263,3 +350,16 @@ def test_clean_subject_is_idempotent_and_drops_issue_refs(subject: str):
     assert not any(
         token.startswith("#") and token[1:].isdigit() for token in cleaned.split()
     )
+
+
+_clean_alphabet = string.ascii_letters + string.digits + " #:()[]-_.\t\n\xa0\u0130\u0131\u017f\u212a"
+_clean_pieces = st.sampled_from(["fix", "Bug", "feat", "chore", "merge branch", "Merge pull request", "[x]", ": ", "#12", "(#7)"])
+
+
+@given(st.lists(st.one_of(st.text(alphabet=_clean_alphabet, max_size=8), _clean_pieces), max_size=8).map("".join))
+@example("fix: redirect loop (#1234)")
+@example("[docs] feat: add changelog")
+@example("chore:   spaced   out ")
+@example("Merge branch 'main'")
+def test_clean_subject_matches_every_pass_run(subject: str):
+    assert gitio.clean_subject(subject) == clean_subject_oracle(subject)
