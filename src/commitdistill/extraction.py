@@ -497,11 +497,11 @@ def subject_fallback_unit(commit: Commit) -> KnowledgeUnit | None:
 def _normalized_body(commit: Commit, normalized: str | None) -> str:
     """``normalize(commit.body)``, cut from ``normalized``, the normalized
     message, where the cut is exact: after its first line break, when the
-    subject holds no line break and no `` ` `` (a fence opened there runs on
-    into the body), and is not blank. Tags and inline code end within their
-    line, so a ``<`` in the subject does not reach the body."""
+    subject holds no line break, no `` ` `` (a fence opened there runs on
+    into the body) and no ``<`` (a subject of tags normalizes to nothing),
+    and is not blank."""
     subject = commit.subject
-    if normalized is None or "\n" in subject or "`" in subject or not subject.strip():
+    if normalized is None or "\n" in subject or "`" in subject or "<" in subject or not subject.strip():
         return normalize(commit.body)
     return normalized.partition("\n")[2]
 

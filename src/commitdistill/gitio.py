@@ -126,8 +126,8 @@ class _GitRecords:
     """One running git, whose output is read as it streams, a read at a time,
     and split into records at RECORD_SEP. It is decoded as UTF-8, U+FFFD
     standing for bytes that are not, and CR and CRLF read as LF, as a
-    text-mode pipe reads them. Use it as a context manager: leaving it
-    closes the stream, kills git and reaps it."""
+    text-mode pipe reads them. ``close`` closes the stream, kills git and
+    reaps it, whether or not it was read to the end."""
 
     def __init__(self, args: list[str], path: Path) -> None:
         self._args = args
@@ -142,12 +142,6 @@ class _GitRecords:
         self._decoder = io.IncrementalNewlineDecoder(
             codecs.getincrementaldecoder("utf-8")(errors="replace"), translate=True
         )
-
-    def __enter__(self) -> "_GitRecords":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     def close(self) -> None:
         proc, self._proc = self._proc, None

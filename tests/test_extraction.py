@@ -419,6 +419,7 @@ _commits = st.lists(
 @example(commits=[_commit("redirect `x` loop", "Seen at start.")], fallback_enabled=True)
 @example(commits=[_commit("redirect\nloop on 302", "Seen at start.")], fallback_enabled=True)
 @example(commits=[_commit("redirect loop <", "b> Seen at start.")], fallback_enabled=True)
+@example(commits=[_commit("<b>", "Seen at start.")], fallback_enabled=True)
 @example(commits=[_commit("pool reuse", "You ſhould reset the pool before reuse.")], fallback_enabled=False)
 def test_batched_extraction_matches_the_per_commit_loop(commits, fallback_enabled):
     assert ex.extract_commits(commits, fallback_enabled) == extract_commits_oracle(commits, fallback_enabled)
@@ -427,6 +428,7 @@ def test_batched_extraction_matches_the_per_commit_loop(commits, fallback_enable
 @given(subject=_commit_text, body=_commit_text)
 @example(subject="redirect loop \r", body=" \n\t\nSeen at start.")
 @example(subject="loop <", body="b> tail")
+@example(subject="<b>", body="requires")
 def test_a_body_cut_from_the_normalized_message_is_its_normalized_body(subject, body):
     commit = _commit(subject, body)
     assert ex._normalized_body(commit, ex.normalize(commit.message)) == ex.normalize(body)
