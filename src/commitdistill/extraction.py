@@ -270,14 +270,7 @@ def _holders(texts: list[str], needles) -> list[int]:
     """Per text, the OR of the masks of the ``(needle, mask)`` pairs whose
     needle it holds. One str.find sweep per needle runs over the texts
     joined by a newline, which no needle holds, and a hit skips the rest of
-    its text; a lone text takes one ``in`` test per needle."""
-    if len(texts) == 1:
-        (text,) = texts
-        found = 0
-        for needle, mask in needles:
-            if needle in text:
-                found |= mask
-        return [found]
+    its text."""
     joined = "\n".join(texts)
     ends = list(accumulate(len(text) + 1 for text in texts))
     found = [0] * len(texts)
@@ -531,14 +524,25 @@ def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str | None)
     )
 
 
+def _or_fallback(
+    units: list[KnowledgeUnit],
+    commit: Commit,
+    meta: dict[str, str],
+    normalized: str | None,
+    fallback_enabled: bool,
+) -> list[KnowledgeUnit]:
+    """A commit's rule units, or its fallback unit when they are none and
+    the fallback is enabled; ``normalized`` as for ``_normalized_body``."""
+    if units or not fallback_enabled:
+        return units
+    fallback = _fallback_unit(commit, meta, normalized)
+    return [] if fallback is None else [fallback]
+
+
 def extract_commit_units(commit: Commit, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
     """Units for one commit; the fallback fires only when the rules are silent."""
-    units = extract_units(commit.message, commit_meta(commit))
-    if not units and fallback_enabled:
-        fallback = subject_fallback_unit(commit)
-        if fallback is not None:
-            units = [fallback]
-    return units
+    meta = commit_meta(commit)
+    return _or_fallback(extract_units(commit.message, meta), commit, meta, None, fallback_enabled)
 
 
 def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
@@ -546,10 +550,11 @@ def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) ->
     deduplicated by id, sorted by id.
 
     A ``gitio.CommitLog`` is extracted as it is read, one read's worth of
-    commits at a time; any other iterable in one batch. Each message of a
-    batch is normalized once, one sweep over the batch finds the rules each
-    can fire (``_rules_to_run``), and a rule-silent commit's fallback takes
-    its body from the normalized message.
+    commits at a time, so that git lists later commits meanwhile; any other
+    iterable in one batch. Each message of a batch is normalized once, one
+    sweep over the batch finds the rules each can fire (``_rules_to_run``),
+    and a rule-silent commit's fallback takes its body from the normalized
+    message.
     """
     batches = commits.batches() if isinstance(commits, gitio.CommitLog) else [list(commits)]
     by_id: dict[str, KnowledgeUnit] = {}
@@ -557,11 +562,7 @@ def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) ->
         texts = [normalize(commit.message) for commit in batch]
         for commit, text, rules in zip(batch, texts, _rules_to_run(texts, DEFAULT_RULES)):
             meta = commit_meta(commit)
-            units = _units(text, meta, rules)
-            if not units and fallback_enabled:
-                fallback = _fallback_unit(commit, meta, text)
-                units = [] if fallback is None else [fallback]
-            for unit in units:
+            for unit in _or_fallback(_units(text, meta, rules), commit, meta, text, fallback_enabled):
                 by_id.setdefault(unit.id, unit)
     return sorted(by_id.values(), key=lambda unit: unit.id)
 
