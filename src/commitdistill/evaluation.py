@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from . import gitio
 from .baselines import Bm25Index, grep_search
-from .extraction import extract_commit_units, subject_fallback_unit
+from .extraction import commit_units, subject_fallback_unit
 from .gitio import Commit
 from .retrieval import (
     DEFAULT_BOOSTS,
@@ -268,11 +268,12 @@ class CommitDocuments:
     """The CD-v1/CD-v2 documents, each commit's units extracted once, and
     tokenized at most once.
 
-    The rule units are shared by CD-v1 and CD-v2; CD-v2 adds the subject
-    fallback on rule-silent commits, as extract_commit_units does. ``index``
-    builds one index over a list of commits, for ``eval baseline``,
-    ``budget`` and ``sweep``, and tokenizes a unit only when a query needs
-    it. ``rank`` serves the time-travel windows from run-wide postings, to
+    A corpus's or window's new commits are extracted in one ``commit_units``
+    batch, for the rule units that CD-v1 and CD-v2 share; CD-v2 adds the
+    subject fallback on rule-silent commits, built when it first needs it.
+    ``index`` builds one index over a list of commits, for ``eval baseline``,
+    ``budget`` and ``sweep``, and tokenizes a unit only when a query needs it.
+    ``rank`` serves the time-travel windows from run-wide postings, to
     which a commit's documents are added, under its sha, when a window first
     holds it: the rule units in one postings, and the fallback units, which
     only CD-v2 reads and which only a CD-v2 window extracts, in another.
@@ -289,10 +290,13 @@ class CommitDocuments:
         # Per posted commit, the ids of its units as CD-v1 and as CD-v2 see them.
         self._ids: dict[bool, dict[str, tuple[str, ...]]] = {False: {}, True: {}}
 
+    def _extract(self, commits: Sequence[Commit]) -> None:
+        """Extract, in one batch, the rule units of those of ``commits`` not yet extracted."""
+        new = {commit.sha: commit for commit in commits if commit.sha not in self._rule_docs}
+        for sha, units in zip(new, commit_units(list(new.values()), fallback_enabled=False)):
+            self._rule_docs[sha] = [Document(unit, unit.content) for unit in units]
+
     def _of(self, commit: Commit, fallback_enabled: bool) -> list[Document]:
-        if commit.sha not in self._rule_docs:
-            units = extract_commit_units(commit, fallback_enabled=False)
-            self._rule_docs[commit.sha] = [Document(unit, unit.content) for unit in units]
         docs = self._rule_docs[commit.sha]
         if docs or not fallback_enabled:
             return docs
@@ -304,6 +308,7 @@ class CommitDocuments:
     def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
         """The same index as ``build_index(extract_commits(commits, fallback_enabled))``:
         per unit id, the document of the first of ``commits`` that yields it."""
+        self._extract(commits)
         owned: dict[str, Document] = {}
         for commit in commits:
             for doc in self._of(commit, fallback_enabled):
@@ -345,7 +350,9 @@ class CommitDocuments:
         distinct unit ids in the window.
         """
         ids = self._ids[fallback_enabled]
-        for commit in [c for c in window if c.sha not in ids]:
+        unposted = [commit for commit in window if commit.sha not in ids]
+        self._extract(unposted)
+        for commit in unposted:
             self._post(commit, fallback_enabled)
         query_tf = tokenize(query_text)
         if not query_tf:

@@ -13,14 +13,14 @@ from __future__ import annotations
 import hashlib
 import re
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, chain, islice
 
 from . import gitio
 from .gitio import Commit
-from .store import UNIT_TYPES, KnowledgeUnit  # noqa: F401  (UNIT_TYPES: still importable from here)
+from .store import KnowledgeUnit
 
 MIN_CONTENT_LEN = 12
 MAX_CONTENT_LEN = 300
@@ -28,6 +28,7 @@ RESOLUTION_TAIL_CAP = 140
 FALLBACK_CONTENT_CAP = 280
 FALLBACK_PRIOR = 0.40
 TITLE_CAP = 60
+_BATCH_SIZE = 256  # commits per extract_commits batch, about one read of git log
 
 # A fence runs to the next fence or, left open, to the end of the text.
 _FENCE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
@@ -524,46 +525,32 @@ def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str | None)
     )
 
 
-def _or_fallback(
-    units: list[KnowledgeUnit],
-    commit: Commit,
-    meta: dict[str, str],
-    normalized: str | None,
-    fallback_enabled: bool,
-) -> list[KnowledgeUnit]:
-    """A commit's rule units, or its fallback unit when they are none and
-    the fallback is enabled; ``normalized`` as for ``_normalized_body``."""
-    if units or not fallback_enabled:
-        return units
-    fallback = _fallback_unit(commit, meta, normalized)
-    return [] if fallback is None else [fallback]
-
-
-def extract_commit_units(commit: Commit, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
-    """Units for one commit; the fallback fires only when the rules are silent."""
-    meta = commit_meta(commit)
-    return _or_fallback(extract_units(commit.message, meta), commit, meta, None, fallback_enabled)
+def commit_units(commits: Sequence[Commit], fallback_enabled: bool) -> list[list[KnowledgeUnit]]:
+    """Per commit, its rule units, or, when they are none and the fallback is
+    enabled, its fallback unit if it has one. Each message is normalized once,
+    one sweep over the batch finds the rules each can fire (``_rules_to_run``),
+    and a fallback takes its body from the normalized message."""
+    texts = [normalize(commit.message) for commit in commits]
+    batch: list[list[KnowledgeUnit]] = []
+    for commit, text, rules in zip(commits, texts, _rules_to_run(texts, DEFAULT_RULES)):
+        meta = commit_meta(commit)
+        units = _units(text, meta, rules)
+        if not units and fallback_enabled and (fallback := _fallback_unit(commit, meta, text)):
+            units = [fallback]
+        batch.append(units)
+    return batch
 
 
 def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
-    """Union of the units ``extract_commit_units`` gives each commit,
-    deduplicated by id, sorted by id.
-
-    A ``gitio.CommitLog`` is extracted as it is read, one read's worth of
-    commits at a time, so that git lists later commits meanwhile; any other
-    iterable in one batch. Each message of a batch is normalized once, one
-    sweep over the batch finds the rules each can fire (``_rules_to_run``),
-    and a rule-silent commit's fallback takes its body from the normalized
-    message.
-    """
-    batches = commits.batches() if isinstance(commits, gitio.CommitLog) else [list(commits)]
+    """Union of the units ``commit_units`` gives each commit, deduplicated by
+    id, sorted by id. The commits are extracted ``_BATCH_SIZE`` at a time as
+    they arrive, so a ``gitio.CommitLog`` is extracted while git lists later
+    commits."""
     by_id: dict[str, KnowledgeUnit] = {}
-    for batch in batches:
-        texts = [normalize(commit.message) for commit in batch]
-        for commit, text, rules in zip(batch, texts, _rules_to_run(texts, DEFAULT_RULES)):
-            meta = commit_meta(commit)
-            for unit in _or_fallback(_units(text, meta, rules), commit, meta, text, fallback_enabled):
-                by_id.setdefault(unit.id, unit)
+    commits = iter(commits)
+    while batch := list(islice(commits, _BATCH_SIZE)):
+        for unit in chain.from_iterable(commit_units(batch, fallback_enabled)):
+            by_id.setdefault(unit.id, unit)
     return sorted(by_id.values(), key=lambda unit: unit.id)
 
 

@@ -173,10 +173,9 @@ class _GitRecords:
 
 class CommitLog:
     """Newest-first commits of the repository, at most ``max_count`` if given,
-    parsed from ``git log`` as it streams. Iterate it for the commits, or
-    take ``batches()``, the commits of one read at a time; ``count`` is the
-    number parsed so far. Use it as a context manager: leaving it, read to
-    the end or not, stops git.
+    parsed from ``git log`` as it streams: iterating it yields each read's
+    commits as the read arrives. ``count`` is the number parsed so far. Use
+    it as a context manager: leaving it, read to the end or not, stops git.
     """
 
     def __init__(self, repo_path: Path | str, max_count: int | None = None) -> None:
@@ -202,14 +201,10 @@ class CommitLog:
             self._git.close()
 
     def __iter__(self) -> Iterator[Commit]:
-        for batch in self.batches():
-            yield from batch
-
-    def batches(self) -> Iterator[list[Commit]]:
         if self._git is None:
             return
         for records in self._git.reads():
-            yield [self._parse(record) for record in records]
+            yield from map(self._parse, records)
 
     def _parse(self, record: str) -> Commit:
         fields = record.split(FIELD_SEP)

@@ -119,13 +119,14 @@ def _write_atomic(path: Path, text: str) -> Path:
 def _unit_json(unit: KnowledgeUnit) -> str:
     """One unit as ``canonical_json`` renders it inside the store's list.
 
-    Raises TypeError for a unit this rendering does not cover: a field that
-    is not a str, a weight that is not a finite int or float, or a meta that
-    is not a flat str-to-str object.
+    Raises TypeError for a unit this rendering does not cover: a type that
+    ``load`` refuses, a field that is not a str, a weight that is not an int
+    or float that ``load`` reads as finite, or a meta that is not a flat
+    str-to-str object.
     """
     weight = unit.weight
-    if not (type(weight) is int or type(weight) is float and math.isfinite(weight)):
-        raise TypeError("the weight needs the json encoder")
+    if unit.unit_type not in UNIT_TYPES or type(weight) not in (int, float) or not _finite(weight):
+        raise TypeError("the unit needs the json encoder and a check")
     if unit.meta:
         meta = "{\n" + ",\n".join(
             f"        {_string(key)}: {_string(value)}" for key, value in sorted(unit.meta.items())
@@ -151,9 +152,11 @@ def save(store: KnowledgeStore, root: Path | str) -> Path:
     The units are rendered here, not by ``canonical_json``, whose indenting
     encoder runs in pure Python; the bytes are the same. An empty store, and
     a store with a unit that ``_unit_json`` does not cover, go through
-    ``canonical_json``.
+    ``canonical_json``, after a check that ``load`` accepts every unit: one
+    it refuses raises a ValueError, and nothing is written.
     """
     units = store.sorted_units()
+    path = store_path(root)
     try:
         rendered = ",\n".join(map(_unit_json, units))
     except TypeError:
@@ -161,9 +164,12 @@ def save(store: KnowledgeStore, root: Path | str) -> Path:
     if rendered:
         text = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "units": [\n{rendered}\n  ]\n}}\n'
     else:
-        payload = {"schema_version": SCHEMA_VERSION, "units": [unit.to_dict() for unit in units]}
-        text = canonical_json(payload)
-    return _write_atomic(store_path(root), text)
+        entries = [unit.to_dict() for unit in units]
+        for position, entry in enumerate(entries):
+            if problem := _unit_problem(entry):
+                raise ValueError(f"knowledge store {path}: unit {position} {problem}; refusing to write it")
+        text = canonical_json({"schema_version": SCHEMA_VERSION, "units": entries})
+    return _write_atomic(path, text)
 
 
 def _finite(weight: int | float) -> bool:

@@ -36,7 +36,9 @@ must give in the same order, or whose error line it must raise.
 parsing it, which the streaming ``gitio.CommitLog`` must reproduce commit for
 commit, or whose error it must raise; ``extract_commits_oracle`` the
 per-commit extraction loop that the batched ``extraction.extract_commits``
-must reproduce unit for unit; and ``clean_subject_oracle`` the
+must reproduce unit for unit, and ``extract_commit_units_oracle`` one
+commit's units, as ``extraction.commit_units`` must give them in a batch;
+and ``clean_subject_oracle`` the
 ``clean_subject`` that ran every pass on every subject.
 """
 from __future__ import annotations
@@ -57,7 +59,7 @@ from commitdistill import evaluation as ev
 from commitdistill import extraction as ex
 from commitdistill import gitio, retrieval, store
 from commitdistill.baselines import grep_search
-from commitdistill.extraction import KnowledgeUnit, extract_commit_units, extract_commits
+from commitdistill.extraction import KnowledgeUnit, extract_commits
 from commitdistill.retrieval import (
     DEFAULT_BOOSTS,
     DEFAULT_K,
@@ -547,6 +549,18 @@ def subject_fallback_unit_oracle(commit) -> KnowledgeUnit | None:
     )
 
 
+def extract_commit_units_oracle(commit, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
+    """One commit's units, extracted on its own, as ``CommitDocuments`` did
+    before it extracted a batch with ``extraction.commit_units``: its rule
+    units from ``extract_units``, or, when they are none and the fallback is
+    enabled, ``subject_fallback_unit``."""
+    units = ex.extract_units(commit.message, ex.commit_meta(commit))
+    if units or not fallback_enabled:
+        return units
+    fallback = ex.subject_fallback_unit(commit)
+    return [] if fallback is None else [fallback]
+
+
 def extract_commits_oracle(commits, fallback_enabled: bool = True) -> list[KnowledgeUnit]:
     """The per-commit loop: each message normalized and swept for triggers
     on its own by ``extract_units``, the fallback from
@@ -625,7 +639,7 @@ def cd_retriever_oracle(fallback_enabled: bool = True, theta: float = DEFAULT_TH
         by_id = {}
         for commit in window:
             if commit.sha not in unit_cache:
-                unit_cache[commit.sha] = extract_commit_units(commit, fallback_enabled)
+                unit_cache[commit.sha] = extract_commit_units_oracle(commit, fallback_enabled)
             for unit in unit_cache[commit.sha]:
                 by_id.setdefault(unit.id, unit)
         index = build_index_oracle([by_id[uid] for uid in sorted(by_id)])
@@ -653,7 +667,7 @@ class CommitDocumentsOracle:
 
     def _of(self, commit, fallback_enabled: bool):
         if commit.sha not in self._rule_docs:
-            units = extract_commit_units(commit, fallback_enabled=False)
+            units = extract_commit_units_oracle(commit, fallback_enabled=False)
             self._rule_docs[commit.sha] = [retrieval.Document(unit, unit.content) for unit in units]
         docs = self._rule_docs[commit.sha]
         if docs or not fallback_enabled:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from commitdistill import cli, extraction, gitio, store
+from commitdistill import cli, evaluation, gitio, store
 
 from oracles import (
     baseline_payload_oracle,
@@ -308,13 +308,13 @@ class TestEvalCommands:
     def test_sweep_extracts_each_commit_once(self, extracted_repo, tmp_path, monkeypatch):
         repo, _ = extracted_repo
         extracted = []
-        real_extract_units = extraction.extract_units
+        real_commit_units = evaluation.commit_units
 
-        def counting_extract_units(text, meta, *args, **kwargs):
-            extracted.append(meta["commit"])
-            return real_extract_units(text, meta, *args, **kwargs)
+        def counting_commit_units(commits, fallback_enabled):
+            extracted.extend(commit.short_sha for commit in commits)
+            return real_commit_units(commits, fallback_enabled)
 
-        monkeypatch.setattr(extraction, "extract_units", counting_extract_units)
+        monkeypatch.setattr(evaluation, "commit_units", counting_commit_units)
         assert run_cli(
             "eval", "sweep", "--repo", str(repo), "--benchmark", str(DATA / "benchmark_classes.json"),
             "--out", str(tmp_path / "evalout"),

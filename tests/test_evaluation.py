@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.extraction import extract_commit_units, extract_commits, subject_fallback_unit
+from commitdistill.extraction import commit_units, extract_commits, subject_fallback_unit
 from commitdistill.retrieval import build_index, query
 
 from conftest import build_fast_repo, recording_popen
@@ -19,6 +19,7 @@ from oracles import (
     bm25_retriever_per_window_oracle,
     cd_retriever_oracle,
     cd_retrievers_per_window_oracle,
+    extract_commit_units_oracle,
     metrics_oracle,
     threshold_sweep_oracle,
     time_travel_cases_oracle,
@@ -389,15 +390,15 @@ def test_commit_documents_extract_each_commit_once(timetravel_repo, monkeypatch)
     ruled: list[str] = []
     fallen_back: list[str] = []
 
-    def rules(commit, fallback_enabled):
-        ruled.append(commit.sha)
-        return extract_commit_units(commit, fallback_enabled)
+    def rules(commits, fallback_enabled):
+        ruled.extend(commit.sha for commit in commits)
+        return commit_units(commits, fallback_enabled)
 
     def fallback(commit):
         fallen_back.append(commit.sha)
         return subject_fallback_unit(commit)
 
-    monkeypatch.setattr(ev, "extract_commit_units", rules)
+    monkeypatch.setattr(ev, "commit_units", rules)
     monkeypatch.setattr(ev, "subject_fallback_unit", fallback)
     commits = gitio.list_commits(timetravel_repo[0])
     documents = ev.CommitDocuments()
@@ -405,10 +406,40 @@ def test_commit_documents_extract_each_commit_once(timetravel_repo, monkeypatch)
     documents.index(commits, True)
     for fallback_enabled in (False, True):
         documents.rank(commits, "fix cache race", fallback_enabled, 0.0)
-    silent = [c.sha for c in commits if not extract_commit_units(c, fallback_enabled=False)]
+    silent = [c.sha for c in commits if not extract_commit_units_oracle(c, fallback_enabled=False)]
     assert silent and len(silent) < len(commits)
     assert sorted(ruled) == sorted(c.sha for c in commits)
     assert sorted(fallen_back) == sorted(silent)
+
+
+def test_commit_documents_extract_a_window_in_one_batch(timetravel_repo, monkeypatch):
+    """One extractor call per corpus or window with unseen commits, holding
+    just those, never one call per commit."""
+    batches: list[list[str]] = []
+
+    def recording(commits, fallback_enabled):
+        assert not fallback_enabled
+        if commits:
+            batches.append([commit.sha for commit in commits])
+        return commit_units(commits, fallback_enabled)
+
+    monkeypatch.setattr(ev, "commit_units", recording)
+    cases = ev.time_travel_cases(timetravel_repo[0], 3, 100)
+    documents = ev.CommitDocuments()
+    seen: set[str] = set()
+    want: list[list[str]] = []
+    for case in cases:
+        for fallback_enabled in (False, True):
+            documents.rank(case.window, "fix cache race", fallback_enabled, 0.0)
+            unseen = list(dict.fromkeys(c.sha for c in case.window if c.sha not in seen))
+            if unseen:
+                want.append(unseen)
+                seen.update(unseen)
+    commits = gitio.list_commits(timetravel_repo[0])
+    documents.index(commits, True)
+    want.append([c.sha for c in commits if c.sha not in seen])
+    assert batches == [batch for batch in want if batch]
+    assert max(map(len, batches)) > 1
 
 
 def _hand_commit(sha: str, subject: str, body: str) -> gitio.Commit:

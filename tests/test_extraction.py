@@ -4,12 +4,14 @@ import dataclasses
 import hashlib
 import re
 import string
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from commitdistill import extraction as ex
-from commitdistill import gitio
+from commitdistill import gitio, store
 from commitdistill.gitio import Commit
 
 from conftest import RepoBuilder, build_raw_repo
@@ -81,7 +83,7 @@ class TestRuleTable:
             assert 0.65 <= rule.prior <= 0.95
             assert rule.keyword.flags & re.IGNORECASE
             assert rule.span in ex._SPAN_KINDS
-            assert rule.unit_type in ex.UNIT_TYPES
+            assert rule.unit_type in store.UNIT_TYPES
 
     def test_three_rules_per_type(self):
         by_type = {}
@@ -334,7 +336,7 @@ class TestSubjectFallback:
 
     def test_not_emitted_when_rules_fire(self):
         commit = _commit("redirect loop on 302 chain", "TimeoutError appears during cold start.")
-        units = ex.extract_commit_units(commit, fallback_enabled=True)
+        [units] = ex.commit_units([commit], fallback_enabled=True)
         assert [u.weight for u in units] == [0.90]
 
 
@@ -425,6 +427,29 @@ def test_batched_extraction_matches_the_per_commit_loop(commits, fallback_enable
     assert ex.extract_commits(commits, fallback_enabled) == extract_commits_oracle(commits, fallback_enabled)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    messages=st.lists(st.tuples(_commit_text, _commit_text), min_size=1, max_size=8),
+    fallback_enabled=st.booleans(),
+    batch_size=st.sampled_from([1, 2, 7]),
+    read_size=st.sampled_from([1, 97, 1 << 16]),
+)
+@example(messages=[("<b>", "Seen at start."), ("redirect `x` loop", "You \u017fhould reset the pool.")] * 4,
+         fallback_enabled=True, batch_size=7, read_size=97)
+def test_extraction_in_any_batch_size_matches_the_per_commit_loop(messages, fallback_enabled, batch_size, read_size):
+    """Over a list and over a streamed log, batches of any size cut anywhere
+    give the units of the per-commit loop."""
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        repo = build_raw_repo(Path(tmp) / "repo", [f"{s}\n\n{b}".encode() for s, b in messages])
+        commits = list_commits_oracle(repo, 10**6)
+        want = extract_commits_oracle(commits, fallback_enabled)
+        patch.setattr(ex, "_BATCH_SIZE", batch_size)
+        patch.setattr(gitio, "_READ_SIZE", read_size)
+        assert ex.extract_commits(commits, fallback_enabled) == want
+        with gitio.CommitLog(repo) as log:
+            assert ex.extract_commits(log, fallback_enabled) == want
+
+
 @given(subject=_commit_text, body=_commit_text)
 @example(subject="redirect loop \r", body=" \n\t\nSeen at start.")
 @example(subject="loop <", body="b> tail")
@@ -447,10 +472,29 @@ def test_extraction_of_a_streamed_log_matches_the_per_commit_loop(tmp_path, monk
     repo = build_raw_repo(tmp_path / "repo", messages)
     want = extract_commits_oracle(list_commits_oracle(repo, 10**6))
     monkeypatch.setattr(gitio, "_READ_SIZE", read_size)
-    with gitio.CommitLog(repo) as log:
-        batches = list(log.batches())
-    assert sum(map(len, batches)) == len(messages)
-    assert len(batches) > 1 or read_size > 1000
+    monkeypatch.setattr(ex, "_BATCH_SIZE", 2)
+    # Each read with its record count, and each extracted batch, in order.
+    events: list[tuple[str, int]] = []
+    real_reads, real_commit_units = gitio._GitRecords.reads, ex.commit_units
+
+    def reads(self):
+        for records in real_reads(self):
+            events.append(("read", len(records)))
+            yield records
+
+    def commit_units(commits, fallback_enabled):
+        events.append(("batch", len(commits)))
+        return real_commit_units(commits, fallback_enabled)
+
+    monkeypatch.setattr(gitio._GitRecords, "reads", reads)
+    monkeypatch.setattr(ex, "commit_units", commit_units)
     with gitio.CommitLog(repo) as log:
         assert ex.extract_commits(log) == want
         assert log.count == len(messages)
+    read_counts = [n for kind, n in events if kind == "read"]
+    assert sum(read_counts) == len(messages)
+    assert len(read_counts) > 1 or read_size > 1000
+    # The first batch is extracted before the last read, which completes the
+    # last record once git has exited.
+    last_read = max(i for i, (kind, _) in enumerate(events) if kind == "read")
+    assert events.index(("batch", 2)) < last_read

@@ -3,7 +3,9 @@ from __future__ import annotations
 import gc
 import json
 import math
+import re
 import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -175,10 +177,28 @@ _unit = st.builds(
 @given(st.lists(_unit, max_size=4))
 @example([])
 @example([make_unit("plain unit with a 0.75 weight"), make_unit("integer weight", weight=1)])
+@example([make_unit("plain unit"), make_unit("a NaN weight", weight=math.nan)])
+@example([make_unit("a true weight", weight=True)])
+@example([make_unit("a weight beyond the float range", weight=10**400)])
+@example([make_unit("an unknown type", unit_type="hint")])
 def test_save_writes_the_oracle_bytes(units):
+    """A store that ``load`` reads back is written as the oracle writes it;
+    any other is refused before anything is written."""
     knowledge_store = store.KnowledgeStore({unit.id: unit for unit in units})
-    with tempfile.TemporaryDirectory() as root:
-        assert store.save(knowledge_store, root).read_bytes() == store_bytes_oracle(knowledge_store)
+    want = store_bytes_oracle(knowledge_store)
+    with tempfile.TemporaryDirectory() as probe, tempfile.TemporaryDirectory() as root:
+        path = store.store_path(probe)
+        path.parent.mkdir()
+        path.write_bytes(want)
+        try:
+            store.load(probe)
+        except ValueError as exc:
+            problem = str(exc).partition(": unit ")[2]
+            with pytest.raises(ValueError, match=f": unit {re.escape(problem)}; refusing to write it$"):
+                store.save(knowledge_store, root)
+            assert not any(Path(root).iterdir())
+        else:
+            assert store.save(knowledge_store, root).read_bytes() == want
 
 
 def test_load_refuses_a_repeated_id(tmp_path, sample_store):
