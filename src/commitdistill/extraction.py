@@ -28,7 +28,9 @@ RESOLUTION_TAIL_CAP = 140
 FALLBACK_CONTENT_CAP = 280
 FALLBACK_PRIOR = 0.40
 TITLE_CAP = 60
-_BATCH_SIZE = 256  # commits per extract_commits batch, about one read of git log
+# Commits per extract_commits batch: few, so that a streamed log's first
+# batch is extracted while git still lists the rest.
+_BATCH_SIZE = 64
 
 # A fence runs to the next fence or, left open, to the end of the text.
 _FENCE_RE = re.compile(r"```.*?(?:```|\Z)", re.DOTALL)
