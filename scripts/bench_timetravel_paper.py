@@ -11,7 +11,9 @@ Each round starts one fresh interpreter per checkout, the side that runs
 first alternating from round to round. The interpreter times building the
 cases and each of the four retrievers, in the order and with the sharing
 that ``eval timetravel`` uses (the CD pair shares one extraction, which the
-first of them pays for), and prints the metrics it scored.
+first of them pays for), and prints the metrics it scored. ``cd_s`` is the
+CD-v1 plus CD-v2 time: what the CD pair costs, wherever its shared
+extraction falls.
 
 The script appends one entry to ``<out>/BENCH_timetravel_paper.json``: per
 checkout its commit sha, every round's timings and, per timing, the median
@@ -78,7 +80,10 @@ def _measure(checkout: Path, repo: Path, env: dict) -> dict:
     if proc.returncode != 0:
         tail = proc.stderr.strip().splitlines()
         raise RuntimeError(f"{checkout}: {tail[-1] if tail else f'exit {proc.returncode}'}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    timings = result["timings"]
+    timings["cd_s"] = timings["cd_v1_s"] + timings["cd_v2_s"]
+    return result
 
 
 def main(argv: list[str] | None = None) -> int:

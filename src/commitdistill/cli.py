@@ -118,10 +118,10 @@ def _commits_and_indexes(args: argparse.Namespace):
     """The commits, distilled-store index and BM25 index that ``eval baseline``
     and ``eval budget`` search, built once from ``--repo``, ``--max-commits``
     and ``--fallback``."""
-    from . import baselines, evaluation, gitio
+    from . import baselines, extraction, gitio
 
     commits = gitio.list_commits(args.repo, args.max_commits)
-    index = evaluation.CommitDocuments().index(commits, args.fallback == "on")
+    index = retrieval.build_index(extraction.extract_commits(commits, args.fallback == "on"))
     return commits, index, baselines.build_bm25_index(commits)
 
 

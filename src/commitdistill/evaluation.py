@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 from . import gitio
 from .baselines import Bm25Index, grep_search
-from .extraction import commit_units, subject_fallback_unit
+from .extraction import commit_units
 from .gitio import Commit
 from .retrieval import (
     DEFAULT_BOOSTS,
@@ -269,19 +269,20 @@ class CommitDocuments:
     tokenized at most once.
 
     A corpus's or window's new commits are extracted in one ``commit_units``
-    batch, for the rule units that CD-v1 and CD-v2 share; CD-v2 adds the
-    subject fallback on rule-silent commits, built when it first needs it.
-    ``index`` builds one index over a list of commits, for ``eval baseline``,
-    ``budget`` and ``sweep``, and tokenizes a unit only when a query needs it.
+    batch, fallback enabled, which serves both modes: CD-v1 reads a commit's
+    rule units, CD-v2 the same documents or, on a rule-silent commit, its
+    subject fallback. ``index`` builds one index over a list of commits, for
+    ``eval sweep``, and tokenizes a unit only when a query needs it.
     ``rank`` serves the time-travel windows from run-wide postings, to
     which a commit's documents are added, under its sha, when a window first
     holds it: the rule units in one postings, and the fallback units, which
-    only CD-v2 reads and which only a CD-v2 window extracts, in another.
+    only CD-v2 reads, in another.
     """
 
     def __init__(self) -> None:
-        self._rule_docs: dict[str, list[Document]] = {}
-        self._fallback_docs: dict[str, list[Document]] = {}
+        # Per extracted commit, its documents as CD-v1 and as CD-v2 see them:
+        # one list twice, or, on a rule-silent commit, [] and its fallback's.
+        self._docs: dict[str, tuple[list[Document], list[Document]]] = {}
         self._postings = {False: Postings(), True: Postings()}  # by "is a fallback unit"
         # Per unit id, (sha, document, is a fallback unit) for each posted
         # commit that yields it, and the ids that more than one commit yields.
@@ -291,19 +292,11 @@ class CommitDocuments:
         self._ids: dict[bool, dict[str, tuple[str, ...]]] = {False: {}, True: {}}
 
     def _extract(self, commits: Sequence[Commit]) -> None:
-        """Extract, in one batch, the rule units of those of ``commits`` not yet extracted."""
-        new = {commit.sha: commit for commit in commits if commit.sha not in self._rule_docs}
-        for sha, units in zip(new, commit_units(list(new.values()), fallback_enabled=False)):
-            self._rule_docs[sha] = [Document(unit, unit.content) for unit in units]
-
-    def _of(self, commit: Commit, fallback_enabled: bool) -> list[Document]:
-        docs = self._rule_docs[commit.sha]
-        if docs or not fallback_enabled:
-            return docs
-        if commit.sha not in self._fallback_docs:
-            unit = subject_fallback_unit(commit)
-            self._fallback_docs[commit.sha] = [] if unit is None else [Document(unit, unit.content)]
-        return self._fallback_docs[commit.sha]
+        """Extract, in one batch, those of ``commits`` not yet extracted."""
+        new = {commit.sha: commit for commit in commits if commit.sha not in self._docs}
+        for sha, (units, fallback) in zip(new, commit_units(list(new.values()), fallback_enabled=True)):
+            docs = [Document(unit, unit.content) for unit in units]
+            self._docs[sha] = ([] if fallback else docs, docs)
 
     def index(self, commits: Sequence[Commit], fallback_enabled: bool) -> RetrievalIndex:
         """The same index as ``build_index(extract_commits(commits, fallback_enabled))``:
@@ -311,7 +304,7 @@ class CommitDocuments:
         self._extract(commits)
         owned: dict[str, Document] = {}
         for commit in commits:
-            for doc in self._of(commit, fallback_enabled):
+            for doc in self._docs[commit.sha][fallback_enabled]:
                 owned.setdefault(doc.item.id, doc)
         return RetrievalIndex([owned[uid] for uid in sorted(owned)])
 
@@ -331,11 +324,12 @@ class CommitDocuments:
         """Post the commit's rule documents, once, and with ``fallback_enabled``
         its fallback document should the rules find nothing."""
         sha = commit.sha
+        rule_docs, docs = self._docs[sha]
         rule_ids = self._ids[False].get(sha)
         if rule_ids is None:
-            rule_ids = self._ids[False][sha] = self._add(sha, self._of(commit, False), False)
+            rule_ids = self._ids[False][sha] = self._add(sha, rule_docs, False)
         if fallback_enabled:
-            self._ids[True][sha] = rule_ids or self._add(sha, self._of(commit, True), True)
+            self._ids[True][sha] = rule_ids or self._add(sha, docs, True)
 
     def rank(
         self, window: Sequence[Commit], query_text: str, fallback_enabled: bool, theta: float

@@ -480,29 +480,22 @@ def commit_meta(commit: Commit) -> dict[str, str]:
     }
 
 
-def subject_fallback_unit(commit: Commit) -> KnowledgeUnit | None:
-    """Low-prior pattern unit built from the cleaned subject.
-
-    Only meaningful on commits where the regex pass produced nothing; callers
-    enforce that precondition. Merge/release/bot subjects and contents that
-    stay under the minimum unit length yield None.
-    """
-    return _fallback_unit(commit, commit_meta(commit), None)
-
-
-def _normalized_body(commit: Commit, normalized: str | None) -> str:
+def _normalized_body(commit: Commit, normalized: str) -> str:
     """``normalize(commit.body)``, cut from ``normalized``, the normalized
     message, where the cut is exact: after its first line break, when the
     subject holds no line break, no `` ` `` (a fence opened there runs on
     into the body) and no ``<`` (a subject of tags normalizes to nothing),
     and is not blank."""
     subject = commit.subject
-    if normalized is None or "\n" in subject or "`" in subject or "<" in subject or not subject.strip():
+    if "\n" in subject or "`" in subject or "<" in subject or not subject.strip():
         return normalize(commit.body)
     return normalized.partition("\n")[2]
 
 
-def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str | None) -> KnowledgeUnit | None:
+def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str) -> KnowledgeUnit | None:
+    """Low-prior pattern unit from the cleaned subject and the body's lead
+    sentence; None for merge/release/bot subjects and for contents that stay
+    under the minimum unit length."""
     if gitio.is_bot_release_or_merge_subject(commit.subject):
         return None
     cleaned = gitio.clean_subject(commit.subject)
@@ -527,31 +520,33 @@ def _fallback_unit(commit: Commit, meta: dict[str, str], normalized: str | None)
     )
 
 
-def commit_units(commits: Sequence[Commit], fallback_enabled: bool) -> list[list[KnowledgeUnit]]:
-    """Per commit, its rule units, or, when they are none and the fallback is
-    enabled, its fallback unit if it has one. Each message is normalized once,
-    one sweep over the batch finds the rules each can fire (``_rules_to_run``),
-    and a fallback takes its body from the normalized message."""
+def commit_units(commits: Sequence[Commit], fallback_enabled: bool) -> list[tuple[list[KnowledgeUnit], bool]]:
+    """Per commit, its units and whether they are its fallback: its rule
+    units, or, when they are none and the fallback is enabled, its fallback
+    unit if it has one, and True. Each message is normalized once, one sweep
+    over the batch finds the rules each can fire (``_rules_to_run``), and a
+    fallback takes its body from the normalized message."""
     texts = [normalize(commit.message) for commit in commits]
-    batch: list[list[KnowledgeUnit]] = []
+    batch: list[tuple[list[KnowledgeUnit], bool]] = []
     for commit, text, rules in zip(commits, texts, _rules_to_run(texts, DEFAULT_RULES)):
         meta = commit_meta(commit)
         units = _units(text, meta, rules)
-        if not units and fallback_enabled and (fallback := _fallback_unit(commit, meta, text)):
-            units = [fallback]
-        batch.append(units)
+        fallback = fallback_enabled and not units
+        if fallback and (unit := _fallback_unit(commit, meta, text)):
+            units = [unit]
+        batch.append((units, fallback))
     return batch
 
 
 def extract_commits(commits: Iterable[Commit], fallback_enabled: bool = True) -> list[KnowledgeUnit]:
-    """Union of the units ``commit_units`` gives each commit, deduplicated by
-    id, sorted by id. The commits are extracted ``_BATCH_SIZE`` at a time as
-    they arrive, so a ``gitio.CommitLog`` is extracted while git lists later
-    commits."""
+    """Union of the units ``commit_units`` gives each commit, fallbacks or
+    not, deduplicated by id, sorted by id. The commits are extracted
+    ``_BATCH_SIZE`` at a time as they arrive, so a ``gitio.CommitLog`` is
+    extracted while git lists later commits."""
     by_id: dict[str, KnowledgeUnit] = {}
     commits = iter(commits)
     while batch := list(islice(commits, _BATCH_SIZE)):
-        for unit in chain.from_iterable(commit_units(batch, fallback_enabled)):
+        for unit in chain.from_iterable(units for units, _ in commit_units(batch, fallback_enabled)):
             by_id.setdefault(unit.id, unit)
     return sorted(by_id.values(), key=lambda unit: unit.id)
 

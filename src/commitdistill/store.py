@@ -15,14 +15,15 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import starmap
 from json.encoder import encode_basestring as _string
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 
 UNIT_TYPES = ("fact", "skill", "pattern")
 SCHEMA_VERSION = 1
 STORE_DIR = ".knowledge"
 STORE_FILENAME = "units.json"
-UNIT_FIELDS = frozenset({"id", "type", "title", "content", "weight", "context", "meta"})
+_FIELD_NAMES = ("id", "type", "title", "content", "weight", "context", "meta")
+UNIT_FIELDS = frozenset(_FIELD_NAMES)
 # What load accepts: (type, then the Python types of weight, id, title,
 # content, context and meta).
 _UNIT_SHAPES = frozenset(
@@ -30,8 +31,9 @@ _UNIT_SHAPES = frozenset(
     for unit_type in UNIT_TYPES
     for weight_type in (int, float)
 )
-# A stored unit's fields in the order of KnowledgeUnit's.
-_unit_fields = itemgetter("id", "type", "title", "content", "weight", "context", "meta")
+# A stored unit's fields, and a KnowledgeUnit's, in the order of KnowledgeUnit's.
+_unit_fields = itemgetter(*_FIELD_NAMES)
+_unit_attrs = attrgetter("id", "unit_type", "title", "content", "weight", "context", "meta")
 
 
 @dataclass(slots=True)
@@ -116,16 +118,19 @@ def _write_atomic(path: Path, text: str) -> Path:
     return path
 
 
-def _unit_json(unit: KnowledgeUnit) -> str:
-    """One unit as ``canonical_json`` renders it inside the store's list.
+def _unit_json(unit: KnowledgeUnit, key: str) -> str:
+    """One unit, keyed ``key`` in its store, as ``canonical_json`` renders it
+    inside the store's list.
 
-    Raises TypeError for a unit this rendering does not cover: a type that
-    ``load`` refuses, a field that is not a str, a weight that is not an int
-    or float that ``load`` reads as finite, or a meta that is not a flat
-    str-to-str object.
+    Raises TypeError for a unit this rendering does not cover: one keyed by
+    another id than its own, a type that ``load`` refuses, a field that is
+    not a str, a weight that is not an int or float that ``load`` reads as
+    finite, or a meta that is not a flat str-to-str object.
     """
     weight = unit.weight
-    if unit.unit_type not in UNIT_TYPES or type(weight) not in (int, float) or not _finite(weight):
+    if unit.id != key or unit.unit_type not in UNIT_TYPES or not isinstance(unit.meta, dict) or (
+        type(weight) not in (int, float) or not _finite(weight)
+    ):
         raise TypeError("the unit needs the json encoder and a check")
     if unit.meta:
         meta = "{\n" + ",\n".join(
@@ -153,20 +158,22 @@ def save(store: KnowledgeStore, root: Path | str) -> Path:
     encoder runs in pure Python; the bytes are the same. An empty store, and
     a store with a unit that ``_unit_json`` does not cover, go through
     ``canonical_json``, after a check that ``load`` accepts every unit: one
-    it refuses raises a ValueError, and nothing is written.
+    it refuses, or one not keyed by its own id, raises a ValueError, and
+    nothing is written.
     """
-    units = store.sorted_units()
     path = store_path(root)
+    keys = sorted(store.units)
+    units = [store.units[key] for key in keys]
     try:
-        rendered = ",\n".join(map(_unit_json, units))
+        rendered = ",\n".join(map(_unit_json, units, keys))
     except TypeError:
         rendered = ""
     if rendered:
         text = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "units": [\n{rendered}\n  ]\n}}\n'
     else:
-        entries = [unit.to_dict() for unit in units]
-        for position, entry in enumerate(entries):
-            if problem := _unit_problem(entry):
+        entries = [dict(zip(_FIELD_NAMES, _unit_attrs(unit))) for unit in units]
+        for position, (key, entry) in enumerate(zip(keys, entries)):
+            if problem := _unit_problem(entry) or (key != entry["id"] and f"is keyed {key!r}, not by its id"):
                 raise ValueError(f"knowledge store {path}: unit {position} {problem}; refusing to write it")
         text = canonical_json({"schema_version": SCHEMA_VERSION, "units": entries})
     return _write_atomic(path, text)
@@ -195,7 +202,7 @@ def _unit_problem(entry) -> str | None:
     for name in ("id", "title", "content", "context"):
         if type(entry[name]) is not str:
             return f"has a non-string {name}"
-    if type(entry["meta"]) is not dict:
+    if not isinstance(entry["meta"], dict):
         return "has a non-object meta"
     return None
 

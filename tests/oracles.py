@@ -553,11 +553,11 @@ def extract_commit_units_oracle(commit, fallback_enabled: bool = True) -> list[K
     """One commit's units, extracted on its own, as ``CommitDocuments`` did
     before it extracted a batch with ``extraction.commit_units``: its rule
     units from ``extract_units``, or, when they are none and the fallback is
-    enabled, ``subject_fallback_unit``."""
+    enabled, ``subject_fallback_unit_oracle``."""
     units = ex.extract_units(commit.message, ex.commit_meta(commit))
     if units or not fallback_enabled:
         return units
-    fallback = ex.subject_fallback_unit(commit)
+    fallback = subject_fallback_unit_oracle(commit)
     return [] if fallback is None else [fallback]
 
 
@@ -673,7 +673,7 @@ class CommitDocumentsOracle:
         if docs or not fallback_enabled:
             return docs
         if commit.sha not in self._fallback_docs:
-            unit = ex.subject_fallback_unit(commit)
+            unit = subject_fallback_unit_oracle(commit)
             self._fallback_docs[commit.sha] = [] if unit is None else [retrieval.Document(unit, unit.content)]
         return self._fallback_docs[commit.sha]
 

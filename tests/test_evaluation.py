@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from commitdistill import evaluation as ev
 from commitdistill import gitio
-from commitdistill.extraction import commit_units, extract_commits, subject_fallback_unit
+from commitdistill.extraction import commit_units, extract_commits
 from commitdistill.retrieval import build_index, query
 
 from conftest import build_fast_repo, recording_popen
@@ -369,37 +369,17 @@ def test_shared_unit_belongs_to_first_commit_in_window(shared_unit_repo):
     assert shas["pool_fix_1"] in retriever(oldest.window, gitio.clean_subject(oldest.fix.subject))
 
 
-def test_subject_fallback_is_built_only_for_cd_v2(timetravel_repo, monkeypatch):
-    built: list[str] = []
-
-    def recording(commit):
-        built.append(commit.sha)
-        return subject_fallback_unit(commit)
-
-    monkeypatch.setattr(ev, "subject_fallback_unit", recording)
-    cases = ev.time_travel_cases(timetravel_repo[0], 3, 100)
-    retrievers = ev.cd_retrievers(theta=0.0)
-    ev.score_cases(cases, retrievers["cd_v1"])
-    assert built == []
-    ev.score_cases(cases, retrievers["cd_v2"])
-    assert built and len(built) == len(set(built))
-
-
 def test_commit_documents_extract_each_commit_once(timetravel_repo, monkeypatch):
-    """eval sweep's two indexes and both time-travel modes share one extraction."""
-    ruled: list[str] = []
-    fallen_back: list[str] = []
+    """eval sweep's two indexes and both time-travel modes share one
+    extraction, the fallback included."""
+    extracted: list[str] = []
 
-    def rules(commits, fallback_enabled):
-        ruled.extend(commit.sha for commit in commits)
+    def recording(commits, fallback_enabled):
+        assert fallback_enabled
+        extracted.extend(commit.sha for commit in commits)
         return commit_units(commits, fallback_enabled)
 
-    def fallback(commit):
-        fallen_back.append(commit.sha)
-        return subject_fallback_unit(commit)
-
-    monkeypatch.setattr(ev, "commit_units", rules)
-    monkeypatch.setattr(ev, "subject_fallback_unit", fallback)
+    monkeypatch.setattr(ev, "commit_units", recording)
     commits = gitio.list_commits(timetravel_repo[0])
     documents = ev.CommitDocuments()
     documents.index(commits, False)
@@ -408,8 +388,7 @@ def test_commit_documents_extract_each_commit_once(timetravel_repo, monkeypatch)
         documents.rank(commits, "fix cache race", fallback_enabled, 0.0)
     silent = [c.sha for c in commits if not extract_commit_units_oracle(c, fallback_enabled=False)]
     assert silent and len(silent) < len(commits)
-    assert sorted(ruled) == sorted(c.sha for c in commits)
-    assert sorted(fallen_back) == sorted(silent)
+    assert sorted(extracted) == sorted(c.sha for c in commits)
 
 
 def test_commit_documents_extract_a_window_in_one_batch(timetravel_repo, monkeypatch):
@@ -418,7 +397,7 @@ def test_commit_documents_extract_a_window_in_one_batch(timetravel_repo, monkeyp
     batches: list[list[str]] = []
 
     def recording(commits, fallback_enabled):
-        assert not fallback_enabled
+        assert fallback_enabled
         if commits:
             batches.append([commit.sha for commit in commits])
         return commit_units(commits, fallback_enabled)

@@ -17,6 +17,7 @@ from commitdistill.gitio import Commit
 from conftest import RepoBuilder, build_raw_repo
 from oracles import (
     RULES_ORACLE,
+    extract_commit_units_oracle,
     extract_commits_oracle,
     extract_units_oracle,
     list_commits_oracle,
@@ -303,41 +304,48 @@ class TestExtractUnits:
             ex.extract_units("text", META, rules=())
 
 
+def _fallback(commit: Commit) -> store.KnowledgeUnit | None:
+    """The commit's fallback unit, as ``commit_units`` gives it to a rule-silent commit."""
+    [(units, fallback)] = ex.commit_units([commit], fallback_enabled=True)
+    assert fallback and len(units) <= 1
+    return units[0] if units else None
+
+
 class TestSubjectFallback:
     def test_basic_fallback(self):
-        unit = ex.subject_fallback_unit(_commit("redirect loop on 302 chain"))
+        unit = _fallback(_commit("redirect loop on 302 chain"))
         assert unit is not None
         assert unit.unit_type == "pattern"
         assert unit.weight == 0.40
         assert unit.content == "redirect loop on 302 chain"
 
     def test_body_lead_sentence_joins(self):
-        unit = ex.subject_fallback_unit(
+        unit = _fallback(
             _commit("redirect loop on 302 chain", "Seen when chasing a 302 ladder. More text.")
         )
         assert unit is not None
         assert unit.content == "redirect loop on 302 chain. Seen when chasing a 302 ladder."
 
     def test_merge_release_bot_subjects_refused(self):
-        assert ex.subject_fallback_unit(_commit("Merge branch 'x'")) is None
-        assert ex.subject_fallback_unit(_commit("v2.31.0")) is None
-        assert ex.subject_fallback_unit(_commit("Bump urllib3 from 1 to 2")) is None
+        assert _fallback(_commit("Merge branch 'x'")) is None
+        assert _fallback(_commit("v2.31.0")) is None
+        assert _fallback(_commit("Bump urllib3 from 1 to 2")) is None
 
     def test_short_cleaned_subject_refused(self):
-        assert ex.subject_fallback_unit(_commit("fix: tidy")) is None
+        assert _fallback(_commit("fix: tidy")) is None
 
     def test_cap_at_280_on_word_boundary(self):
         subject = "long subject " + "alpha beta gamma " * 10
         body = "And the first sentence keeps going " + "delta epsilon " * 20 + "."
-        unit = ex.subject_fallback_unit(_commit(subject.strip(), body))
+        unit = _fallback(_commit(subject.strip(), body))
         assert unit is not None
         assert len(unit.content) <= 280
         assert not unit.content.endswith(" ")
 
     def test_not_emitted_when_rules_fire(self):
         commit = _commit("redirect loop on 302 chain", "TimeoutError appears during cold start.")
-        [units] = ex.commit_units([commit], fallback_enabled=True)
-        assert [u.weight for u in units] == [0.90]
+        [(units, fallback)] = ex.commit_units([commit], fallback_enabled=True)
+        assert [u.weight for u in units] == [0.90] and not fallback
 
 
 class TestExtractRepository:
@@ -425,6 +433,28 @@ _commits = st.lists(
 @example(commits=[_commit("pool reuse", "You ſhould reset the pool before reuse.")], fallback_enabled=False)
 def test_batched_extraction_matches_the_per_commit_loop(commits, fallback_enabled):
     assert ex.extract_commits(commits, fallback_enabled) == extract_commits_oracle(commits, fallback_enabled)
+
+
+@settings(max_examples=300, deadline=None)
+@given(commits=_commits)
+@example(commits=[_commit("   ", "Seen at start.")])
+@example(commits=[_commit("", "")])
+@example(commits=[_commit("Merge branch 'x'", "Seen."), _commit("v2.1.0"), _commit("Bump a from 1 to 2")])
+@example(commits=[_commit("redirect `x` loop", "Seen at start."), _commit("redirect loop <", "b> Seen.")])
+@example(commits=[_commit("redirect loop on 302 chain", "You must reset the pool first.")])
+def test_commit_units_mark_the_commits_the_rules_miss(commits):
+    """Per commit, the units it yields on its own, and whether the fallback
+    stood in for its rules: with the fallback on, whenever the rules find
+    nothing, even where no fallback unit is built."""
+    for fallback_enabled in (False, True):
+        want = [
+            (
+                extract_commit_units_oracle(commit, fallback_enabled),
+                fallback_enabled and not extract_commit_units_oracle(commit, fallback_enabled=False),
+            )
+            for commit in commits
+        ]
+        assert ex.commit_units(commits, fallback_enabled) == want
 
 
 @settings(max_examples=40, deadline=None)

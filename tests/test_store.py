@@ -5,6 +5,7 @@ import json
 import math
 import re
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -199,6 +200,33 @@ def test_save_writes_the_oracle_bytes(units):
             assert not any(Path(root).iterdir())
         else:
             assert store.save(knowledge_store, root).read_bytes() == want
+
+
+def test_save_refuses_a_unit_not_keyed_by_its_id(tmp_path):
+    """Two keys holding one unit, and a unit under another id, would write a
+    file that ``load`` refuses or reorders; nothing is written."""
+    unit = replace(make_unit("pool resets run before reuse"), id="x1")
+    other = make_unit("the cache must be warmed first")
+    for units, position, key in (
+        ({"a": unit, "b": unit}, 0, "a"),
+        ({"x1": unit, "y": unit}, 1, "y"),
+        ({other.id: other, "0": unit}, 0, "0"),
+    ):
+        problem = f"unit {position} is keyed '{key}', not by its id"
+        with pytest.raises(ValueError, match=f": {problem}; refusing to write it$"):
+            store.save(store.KnowledgeStore(units), tmp_path)
+        assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("meta", [None, [1], "x"])
+def test_save_refuses_a_meta_that_is_not_an_object(tmp_path, meta):
+    odd = replace(make_unit("pool resets run before reuse"), meta=meta)
+    units = [make_unit("the cache must be warmed first"), odd]
+    knowledge_store = store.KnowledgeStore({unit.id: unit for unit in units})
+    position = sorted(knowledge_store.units).index(odd.id)
+    with pytest.raises(ValueError, match=f": unit {position} has a non-object meta; refusing to write it$"):
+        store.save(knowledge_store, tmp_path)
+    assert not any(tmp_path.iterdir())
 
 
 def test_load_refuses_a_repeated_id(tmp_path, sample_store):
