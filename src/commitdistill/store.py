@@ -15,15 +15,14 @@ import tempfile
 from dataclasses import dataclass, field, replace
 from itertools import starmap
 from json.encoder import encode_basestring as _string
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from pathlib import Path
 
 UNIT_TYPES = ("fact", "skill", "pattern")
 SCHEMA_VERSION = 1
 STORE_DIR = ".knowledge"
 STORE_FILENAME = "units.json"
-_FIELD_NAMES = ("id", "type", "title", "content", "weight", "context", "meta")
-UNIT_FIELDS = frozenset(_FIELD_NAMES)
+UNIT_FIELDS = frozenset({"id", "type", "title", "content", "weight", "context", "meta"})
 # What load accepts: (type, then the Python types of weight, id, title,
 # content, context and meta).
 _UNIT_SHAPES = frozenset(
@@ -31,9 +30,8 @@ _UNIT_SHAPES = frozenset(
     for unit_type in UNIT_TYPES
     for weight_type in (int, float)
 )
-# A stored unit's fields, and a KnowledgeUnit's, in the order of KnowledgeUnit's.
-_unit_fields = itemgetter(*_FIELD_NAMES)
-_unit_attrs = attrgetter("id", "unit_type", "title", "content", "weight", "context", "meta")
+# A stored unit's fields in the order of KnowledgeUnit's.
+_unit_fields = itemgetter("id", "type", "title", "content", "weight", "context", "meta")
 
 
 @dataclass(slots=True)
@@ -56,7 +54,7 @@ class KnowledgeUnit:
             "content": self.content,
             "weight": self.weight,
             "context": self.context,
-            "meta": dict(self.meta),
+            "meta": self.meta,
         }
 
 
@@ -171,7 +169,7 @@ def save(store: KnowledgeStore, root: Path | str) -> Path:
     if rendered:
         text = f'{{\n  "schema_version": {SCHEMA_VERSION},\n  "units": [\n{rendered}\n  ]\n}}\n'
     else:
-        entries = [dict(zip(_FIELD_NAMES, _unit_attrs(unit))) for unit in units]
+        entries = [unit.to_dict() for unit in units]
         for position, (key, entry) in enumerate(zip(keys, entries)):
             if problem := _unit_problem(entry) or (key != entry["id"] and f"is keyed {key!r}, not by its id"):
                 raise ValueError(f"knowledge store {path}: unit {position} {problem}; refusing to write it")
