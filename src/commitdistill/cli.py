@@ -390,7 +390,17 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # gitio.GitError is an OSError, InsufficientFixes a ValueError
-        print(f"commitdistill: error: {exc}", file=sys.stderr)
+        try:
+            print(f"commitdistill: error: {exc}", file=sys.stderr)
+        except BrokenPipeError:  # stderr is closed too; the exit code still tells
+            pass
+        if isinstance(exc, BrokenPipeError):
+            # The interpreter flushes stdout again at exit: point it at
+            # devnull so that flush cannot raise ("Note on SIGPIPE" in the
+            # docs of the signal module).
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return 2
 
 

@@ -16,9 +16,8 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain, compress, count, islice
-from operator import itemgetter
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import gitio
 from .baselines import Bm25Index, grep_search
@@ -275,8 +274,8 @@ class CommitDocuments:
     ``eval sweep``, and tokenizes a unit only when a query needs it.
     ``rank`` serves the time-travel windows from run-wide postings, to
     which a commit's documents are added, under its sha, when a window first
-    holds it: the rule units in one postings, and the fallback units, which
-    only CD-v2 reads, in another.
+    holds it, for both modes at once: the rule units in one postings, and
+    the fallback units, which only CD-v2 reads, in another.
     """
 
     def __init__(self) -> None:
@@ -284,14 +283,11 @@ class CommitDocuments:
         # one list twice, or, on a rule-silent commit, [] and its fallback's.
         self._docs: dict[str, tuple[list[Document], list[Document]]] = {}
         self._postings = {False: Postings(), True: Postings()}  # by "is a fallback unit"
-        # Per unit id, (sha, document, is a fallback unit) for each posted
-        # commit that yields it, and the ids that more than one commit yields.
-        self._holders: dict[str, list[tuple[str, Document, bool]]] = {}
-        self._shared: set[str] = set()
-        # Per posted commit, the ids of its units as CD-v1 and as CD-v2 see them.
-        self._ids: dict[bool, dict[str, tuple[str, ...]]] = {False: {}, True: {}}
+        # Per posted commit, the (unit id, sha) pairs of its units as CD-v1
+        # and as CD-v2 see them.
+        self._ids: dict[bool, dict[str, tuple[tuple[str, str], ...]]] = {False: {}, True: {}}
 
-    def _extract(self, commits: Sequence[Commit]) -> None:
+    def _extract(self, commits: Iterable[Commit]) -> None:
         """Extract, in one batch, those of ``commits`` not yet extracted."""
         new = {commit.sha: commit for commit in commits if commit.sha not in self._docs}
         for sha, (units, fallback) in zip(new, commit_units(list(new.values()), fallback_enabled=True)):
@@ -308,28 +304,16 @@ class CommitDocuments:
                 owned.setdefault(doc.item.id, doc)
         return RetrievalIndex([owned[uid] for uid in sorted(owned)])
 
-    def _add(self, sha: str, docs: list[Document], fallback: bool) -> tuple[str, ...]:
-        """Post one commit's rule or fallback documents; their unit ids."""
-        postings = self._postings[fallback]
+    def _post(self, sha: str) -> None:
+        """Post an extracted commit's documents for both modes: its rule
+        documents, or, on a rule-silent commit, its fallback documents."""
+        rule_docs, docs = self._docs[sha]
+        postings = self._postings[not rule_docs]
         for doc in docs:
             postings.add(sha, doc)
-            uid = doc.item.id
-            holders = self._holders.setdefault(uid, [])
-            if holders:
-                self._shared.add(uid)
-            holders.append((sha, doc, fallback))
-        return tuple(doc.item.id for doc in docs)
-
-    def _post(self, commit: Commit, fallback_enabled: bool) -> None:
-        """Post the commit's rule documents, once, and with ``fallback_enabled``
-        its fallback document should the rules find nothing."""
-        sha = commit.sha
-        rule_docs, docs = self._docs[sha]
-        rule_ids = self._ids[False].get(sha)
-        if rule_ids is None:
-            rule_ids = self._ids[False][sha] = self._add(sha, rule_docs, False)
-        if fallback_enabled:
-            self._ids[True][sha] = rule_ids or self._add(sha, docs, True)
+        pairs = tuple((doc.item.id, sha) for doc in docs)
+        self._ids[False][sha] = pairs if rule_docs else ()
+        self._ids[True][sha] = pairs
 
     def rank(
         self, window: Sequence[Commit], query_text: str, fallback_enabled: bool, theta: float
@@ -339,51 +323,40 @@ class CommitDocuments:
         ``index(window, fallback_enabled)``; each sha once, at most EVAL_K.
 
         A unit belongs to the first commit of the window that yields it,
-        which gives it that commit's document, weight and sha. Only the units
-        that the query's postings reach are resolved; N is the number of
-        distinct unit ids in the window.
+        which gives it that commit's document, weight and sha. The owner map
+        is read from the window's (unit id, sha) pairs, last commit first, so
+        that the first commit to yield an id is written last; N is its size.
+        A candidate is a posted document that the query's postings reach
+        under the sha owning its unit.
         """
         ids = self._ids[fallback_enabled]
-        unposted = [commit for commit in window if commit.sha not in ids]
-        self._extract(unposted)
-        for commit in unposted:
-            self._post(commit, fallback_enabled)
+        unposted = {commit.sha: commit for commit in window if commit.sha not in ids}
+        self._extract(unposted.values())
+        for sha in unposted:
+            self._post(sha)
         query_tf = tokenize(query_text)
         if not query_tf:
             return []
         shas = [commit.sha for commit in window]
-        # Each sha's place in the window, the first should the window repeat it.
-        place = dict(zip(reversed(shas), range(len(shas) - 1, -1, -1)))
+        owner = dict(chain.from_iterable(map(ids.__getitem__, reversed(shas))))
+        members = set(shas)
         rules, fallbacks = self._postings[False], self._postings[True]
         sources = (rules, fallbacks) if fallback_enabled else (rules,)
-        owners = {
-            doc.item.id: (sha, doc)
+        candidates = {
+            doc.item.id: doc
             for postings in sources
             for term in query_tf
-            for sha, doc in postings.within(term, place)
+            for sha, doc in postings.within(term, members)
+            if owner[doc.item.id] == sha
         }
-        for uid in self._shared.intersection(owners):
-            _, sha, doc = min(
-                (
-                    (place[sha], sha, doc)
-                    for sha, doc, fallback in self._holders[uid]
-                    if sha in place and (fallback_enabled or not fallback)
-                ),
-                key=itemgetter(0),
-            )
-            owners[uid] = (sha, doc)
-        # The owner of a shared id may hold none of the terms that reached it.
         terms = query_tf.keys()
-        held = [(doc, terms & doc.tf.keys()) for _, doc in owners.values()]
-        candidates = [doc for doc, shared in held if shared]
-        df = Counter(chain.from_iterable(shared for _, shared in held))
-        n = len(set(chain.from_iterable(map(ids.__getitem__, shas))))
-        hits = score_documents(candidates, query_tf, tfidf_idf(n, df), theta, DEFAULT_BOOSTS)
+        df = Counter(chain.from_iterable(terms & doc.tf.keys() for doc in candidates.values()))
+        hits = score_documents(candidates.values(), query_tf, tfidf_idf(len(owner), df), theta, DEFAULT_BOOSTS)
         # A hit resolves through the commit owning its unit, not through the
         # unit's 8-digit short sha, which two window commits may share.
         ranked: list[str] = []
         for hit in hits[: max(50, EVAL_K)]:
-            sha = owners[hit.unit.id][0]
+            sha = owner[hit.unit.id]
             if sha not in ranked:
                 ranked.append(sha)
                 if len(ranked) == EVAL_K:

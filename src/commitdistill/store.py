@@ -47,6 +47,8 @@ class KnowledgeUnit:
     meta: dict[str, str]
 
     def to_dict(self) -> dict:
+        """The unit as stored, with a copy of its meta; a meta that is not a
+        dict is returned as it is, for ``save`` to refuse."""
         return {
             "id": self.id,
             "type": self.unit_type,
@@ -54,7 +56,7 @@ class KnowledgeUnit:
             "content": self.content,
             "weight": self.weight,
             "context": self.context,
-            "meta": self.meta,
+            "meta": dict(self.meta) if isinstance(self.meta, dict) else self.meta,
         }
 
 

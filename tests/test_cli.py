@@ -634,3 +634,42 @@ def test_python_m_runs_the_cli():
     )
     assert completed.returncode == 0, completed.stderr
     assert "usage: commitdistill" in completed.stdout
+
+
+@pytest.fixture(scope="module")
+def noisy_repo(tmp_path_factory) -> Path:
+    """A repository whose store answers "cache pool" with many hits."""
+    repo = build_fast_repo(tmp_path_factory.mktemp("noisy") / "repo", [
+        f"Fix cache pool race {n}\n\nNote: the cache pool must be drained before worker {n} stops."
+        for n in range(60)
+    ])
+    assert cli.main(["extract", "--repo", str(repo)]) == 0
+    return repo
+
+
+def _query_into_closed_pipe(repo: Path, close_stderr: bool) -> subprocess.CompletedProcess:
+    """``query`` with its stdout, and with ``close_stderr`` its stderr, the
+    write end of a pipe whose read end is already closed."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "commitdistill", "query", "--repo", str(repo),
+             "--theta", "0", "--k", "50", "cache pool"],
+            env=_src_env(), stdout=write_end, stderr=write_end if close_stderr else subprocess.PIPE,
+            encoding="utf-8", timeout=60,
+        )
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_stdout_and_stderr_exit_2(noisy_repo):
+    assert _query_into_closed_pipe(noisy_repo, close_stderr=True).returncode == 2
+
+
+def test_a_closed_stdout_leaves_one_error_line(noisy_repo):
+    completed = _query_into_closed_pipe(noisy_repo, close_stderr=False)
+    assert completed.returncode == 2
+    (line,) = completed.stderr.splitlines()
+    assert line.startswith("commitdistill: error:")
+    assert "Exception ignored" not in completed.stderr

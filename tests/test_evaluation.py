@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from commitdistill import evaluation as ev
 from commitdistill import gitio
 from commitdistill.extraction import commit_units, extract_commits
-from commitdistill.retrieval import build_index, query
+from commitdistill.retrieval import Postings, build_index, query, tokenize
 
 from conftest import build_fast_repo, recording_popen
 from oracles import (
@@ -439,6 +439,73 @@ def test_hit_resolves_to_owning_commit_when_short_shas_collide(name):
     assert retriever([later, earlier], "pool shutdown drain") == [earlier.sha]
     assert retriever([earlier, later], "cache warmed requests") == [later.sha]
     assert retriever([later, copy, earlier], "pool shutdown drain") == [copy.sha]
+
+
+# One fact id from four commits and one fallback id from three rule-silent
+# ones, each copy cased or camelCased apart so that its tokens differ; a merge
+# that yields nothing, and a commit with two units.
+_SHARED_ID_PLAN = [
+    ("Document pool tuning", "Note: the connectionpool must be drained before shutdown."),
+    ("Document pool tuning again", "Note: the connectionPool must be drained before shutdown."),
+    ("Explain pool drain", "Note: The ConnectionPool must be drained before Shutdown."),
+    ("Bug: pool drain on exit", "Note: the connectionpool must be drained before shutdown."),
+    ("Tune connectionpool sizes", ""),
+    ("Tune connectionPool sizes", ""),
+    ("tune ConnectionPool Sizes", ""),
+    ("tune ConnectionPool Sizes", "Pool sizes follow the worker count."),
+    ("Initial pool scaffolding", ""),
+    ("Merge branch 'pool'", ""),
+    ("Fix connectionpool shutdown leak", ""),
+    ("Tune cache warmup", "The cache must be warmed before requests land."),
+]
+_SHARED_ID_COMMITS = [
+    _hand_commit(f"deadbeef{position:032x}", subject, body) for position, (subject, body) in enumerate(_SHARED_ID_PLAN)
+]
+_SHARED_ID_WORDS = ("connection", "pool", "connectionpool", "shutdown", "drained", "sizes", "tune", "cache", "fix", "the")
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_shared_ids_rank_as_per_window_indexes_on_hand_built_commits(data):
+    """Windows in any order, repeating commits, over units that several
+    commits yield with different tokens: both modes of one pair, in either
+    order, rank as a fresh index over each window alone."""
+    theta = data.draw(st.sampled_from([0.0, 1.0, 2.5]))
+    got, want = ev.cd_retrievers(theta), cd_retrievers_per_window_oracle(theta)
+    for _ in range(3):
+        window = data.draw(st.lists(st.sampled_from(_SHARED_ID_COMMITS), max_size=2 * len(_SHARED_ID_COMMITS)))
+        text = " ".join(data.draw(st.lists(st.sampled_from(_SHARED_ID_WORDS), min_size=1, max_size=4)))
+        for name in data.draw(st.permutations(["cd_v1", "cd_v2"])):
+            assert got[name](window, text) == want[name](window, text), name
+
+
+def test_shared_id_plan_shares_ids_across_differing_tokens():
+    by_id: dict[str, list[tuple[bool, frozenset]]] = {}
+    for units, fallback in commit_units(_SHARED_ID_COMMITS, fallback_enabled=True):
+        for unit in units:
+            by_id.setdefault(unit.id, []).append((fallback, frozenset(tokenize(unit.content))))
+    for fallback in (False, True):
+        assert any(
+            len(holders) > 2 and all(f == fallback for f, _ in holders) and len({t for _, t in holders}) > 1
+            for holders in by_id.values()
+        )
+
+
+def test_a_window_repeating_a_sha_posts_each_document_once(monkeypatch):
+    posted: list[tuple[str, str]] = []
+    add = Postings.add
+
+    def recording(self, key, doc):
+        posted.append((key, doc.item.id))
+        add(self, key, doc)
+
+    monkeypatch.setattr(Postings, "add", recording)
+    silent, noted = _SHARED_ID_COMMITS[4], _SHARED_ID_COMMITS[0]
+    window = [silent, noted, silent, noted]
+    got, want = ev.cd_retrievers(0.0), cd_retrievers_per_window_oracle(0.0)
+    for name in ("cd_v1", "cd_v2", "cd_v2"):
+        assert got[name](window, "connectionpool sizes") == want[name](window, "connectionpool sizes")
+    assert len(posted) == len(set(posted)) == 2
 
 
 class TestCohenKappa:

@@ -229,6 +229,16 @@ def test_save_refuses_a_meta_that_is_not_an_object(tmp_path, meta):
     assert not any(tmp_path.iterdir())
 
 
+def test_to_dict_copies_a_dict_meta_and_passes_any_other_through():
+    unit = make_unit("pool resets run before reuse")
+    entry = unit.to_dict()
+    assert entry["meta"] == unit.meta
+    entry["meta"]["commit"] = "edited"
+    assert unit.meta["commit"] == "0123abcd"
+    for meta in (None, [1], "x"):  # for save to refuse, as the test above pins
+        assert replace(unit, meta=meta).to_dict()["meta"] is meta
+
+
 def test_load_refuses_a_repeated_id(tmp_path, sample_store):
     path = store.save(sample_store, tmp_path)
     payload = json.loads(path.read_text(encoding="utf-8"))
